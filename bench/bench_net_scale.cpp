@@ -1,28 +1,24 @@
-// E22 — connection scale: the readiness-driven epoll core vs the
-// thread-per-connection core, same wire protocol, same party state.
+// E22 — connection scale of the event-loop serving core.
 //
 // Two claims under test, one per phase:
 //
 //   query   With hundreds of open connections driven by a bounded worker
-//           pool (tools/loadgen.hpp), the epoll core's accepted-queries/sec
-//           and tail latency must not regress against the thread core —
-//           readiness dispatch plus a small worker pool replaces hundreds
-//           of runnable threads, so p99 should tighten, not widen.
-//   idle    Thousands of push subscriptions that never push cost the epoll
-//           core an fd, a state machine, and a timer-wheel slot each; the
-//           thread core pays a full thread per subscription. Resident
-//           thread count and RSS-per-subscription make the difference
-//           visible. The epoll core is asked to *hold* kIdleSubsEpoll
-//           (2048) live subscriptions; the thread core is measured at a
-//           smaller count (a thread each — the point the experiment makes).
+//           pool (tools/loadgen.hpp), the loop thread plus a small worker
+//           pool sustains the query load on a bounded, connection-count-
+//           independent number of threads.
+//   idle    Thousands of push subscriptions that never push cost an fd, a
+//           state machine, and a timer-wheel slot each — not a thread.
+//           Resident thread count and RSS-per-subscription make the cost
+//           visible; the core is asked to *hold* kIdleSubs (2048) live
+//           subscriptions.
 //
 // Parity: after the query load, one union_count round over the real
-// NetworkCountSource per core; both servers ingested the identical stream,
-// so the values must agree bit-for-bit across cores (parity=1 in every
-// row) — the differential guarantee that makes the perf comparison valid.
+// NetworkCountSource must be bit-identical to union_count over the same
+// party in-process (parity=1 in every row) — the served answers are the
+// in-process referee's answers.
 //
 // JSON lines:
-//   e22_net_scale {io, phase, conns, opened, qps, p50_us, p99_us, errors,
+//   e22_net_scale {phase, conns, opened, qps, p50_us, p99_us, errors,
 //                  threads, rss_per_conn_bytes, parity}
 //
 // `--smoke` shrinks connection counts and request totals for CI. The
@@ -31,8 +27,8 @@
 // (each connection costs two — both ends live here).
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -47,7 +43,6 @@
 #include "distributed/referee.hpp"
 #include "loadgen.hpp"
 #include "net/client.hpp"
-#include "net/io_model.hpp"
 #include "net/server.hpp"
 #include "stream/generators.hpp"
 
@@ -63,19 +58,17 @@ core::RandWave::Params params() {
 }
 
 struct PhaseRow {
-  const char* io = "";
   const char* phase = "";
   std::size_t conns = 0;   // goal
   std::size_t opened = 0;  // actually handshaken and held
   tools::LoadStats load;
   std::uint64_t threads = 0;
   double rss_per_conn = 0.0;
-  int parity = 0;  // filled after both cores ran (cross-core comparison)
+  int parity = 0;  // served union_count == in-process union_count
 };
 
 void emit_row(const PhaseRow& r) {
   bench::JsonLine("e22_net_scale")
-      .field("io", r.io)
       .field("phase", r.phase)
       .field("conns", static_cast<std::uint64_t>(r.conns))
       .field("opened", static_cast<std::uint64_t>(r.opened))
@@ -87,7 +80,7 @@ void emit_row(const PhaseRow& r) {
       .field("rss_per_conn_bytes", r.rss_per_conn)
       .field("parity", static_cast<std::uint64_t>(r.parity))
       .emit();
-  bench::row_line({r.io, r.phase, bench::fmt_u(r.opened),
+  bench::row_line({r.phase, bench::fmt_u(r.opened),
                    bench::fmt(r.load.qps, 0), bench::fmt(r.load.p99_us, 0),
                    bench::fmt_u(r.threads), bench::fmt(r.rss_per_conn, 0),
                    r.parity == 1 ? "1" : "0"});
@@ -103,18 +96,28 @@ std::size_t fd_budget() {
   return static_cast<std::size_t>(rl.rlim_cur);
 }
 
-/// Run both phases against one server core. The caller compares the
-/// returned query-round value across cores for parity.
-double run_core(net::IoModel io, distributed::CountParty& party,
-                std::size_t query_conns, std::uint64_t requests,
-                std::size_t idle_subs, std::vector<PhaseRow>& rows) {
+/// Run both phases against one server; `parity` is set on every row.
+void e22(bool smoke) {
+  const std::uint64_t backlog = 2 * kWindow;
+  const std::size_t query_conns = smoke ? 64 : 512;
+  const std::uint64_t requests = smoke ? 2000 : 20000;
+  std::size_t idle_subs = smoke ? 256 : 2048;
+
+  // Each held connection costs two fds in this process (client + server
+  // end); leave slack for the party sockets, the listener, and stdio.
+  const std::size_t budget = fd_budget();
+  const std::size_t max_conns = budget > 512 ? (budget - 256) / 2 : 64;
+  idle_subs = std::min(idle_subs, max_conns);
+
+  distributed::CountParty party(params(), kInstances, kSeed);
+  stream::BernoulliBits gen(0.4, 3);
+  for (std::uint64_t i = 0; i < backlog; ++i) party.observe(gen.next());
+
   net::ServerConfig cfg;
-  cfg.io_model = io;
   cfg.max_connections = query_conns + idle_subs + 16;
   net::PartyServer server(cfg, &party);
   if (!server.start()) {
-    std::fprintf(stderr, "e22: server start failed (io=%s)\n",
-                 net::io_model_name(io));
+    std::fprintf(stderr, "e22: server start failed\n");
     std::exit(1);
   }
   const std::string host = "127.0.0.1";
@@ -122,7 +125,6 @@ double run_core(net::IoModel io, distributed::CountParty& party,
 
   // -- query phase ---------------------------------------------------------
   PhaseRow q;
-  q.io = net::io_model_name(io);
   q.phase = "query";
   q.conns = query_conns;
   {
@@ -134,19 +136,24 @@ double run_core(net::IoModel io, distributed::CountParty& party,
     q.threads = tools::resident_threads();
   }
 
-  // Parity round over the real referee path, while the server is still up.
-  double value = std::nan("");
+  // Parity round over the real referee path, while the server is still up,
+  // against the in-process referee over the same (quiescent) party.
+  int parity = 0;
   {
     net::NetworkCountSource src({{host, server.port()}}, params(),
                                 kInstances, kSeed);
-    const distributed::QueryResult r =
+    const distributed::QueryResult served =
         distributed::union_count(src, kWindow);
-    if (r.status == distributed::QueryStatus::kOk) value = r.estimate.value;
+    const distributed::CountParty* local[] = {&party};
+    const core::Estimate oracle = distributed::union_count(local, kWindow);
+    parity = served.status == distributed::QueryStatus::kOk &&
+                     served.estimate.value == oracle.value
+                 ? 1
+                 : 0;
   }
 
   // -- idle-subscription phase --------------------------------------------
   PhaseRow idle;
-  idle.io = net::io_model_name(io);
   idle.phase = "idle";
   idle.conns = idle_subs;
   {
@@ -166,45 +173,11 @@ double run_core(net::IoModel io, distributed::CountParty& party,
                           static_cast<double>(subbed);
     }
   }
-
   server.stop();
-  rows.push_back(q);
-  rows.push_back(idle);
-  return value;
-}
 
-void e22(bool smoke) {
-  const std::uint64_t backlog = 2 * kWindow;
-  const std::size_t query_conns = smoke ? 64 : 512;
-  const std::uint64_t requests = smoke ? 2000 : 20000;
-  std::size_t idle_epoll = smoke ? 256 : 2048;
-  std::size_t idle_threads = smoke ? 64 : 256;
-
-  // Each held connection costs two fds in this process (client + server
-  // end); leave slack for the party sockets, the listener, and stdio.
-  const std::size_t budget = fd_budget();
-  const std::size_t max_conns = budget > 512 ? (budget - 256) / 2 : 64;
-  idle_epoll = std::min(idle_epoll, max_conns);
-  idle_threads = std::min(idle_threads, max_conns);
-
-  distributed::CountParty party(params(), kInstances, kSeed);
-  stream::BernoulliBits gen(0.4, 3);
-  for (std::uint64_t i = 0; i < backlog; ++i) party.observe(gen.next());
-
-  std::vector<PhaseRow> rows;
-  const double v_threads =
-      run_core(net::IoModel::kThreads, party, query_conns, requests,
-               idle_threads, rows);
-  const double v_epoll = run_core(net::IoModel::kEpoll, party, query_conns,
-                                  requests, idle_epoll, rows);
-
-  // Bit-identical answers across cores (NaN-safe: NaN means a failed
-  // round, which is parity 0).
-  const int parity =
-      (v_threads == v_epoll && !std::isnan(v_threads)) ? 1 : 0;
-  for (auto& r : rows) {
-    r.parity = parity;
-    emit_row(r);
+  for (PhaseRow* r : {&q, &idle}) {
+    r->parity = parity;
+    emit_row(*r);
   }
 }
 
@@ -216,10 +189,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--smoke") smoke = true;
   }
-  waves::bench::header(
-      "E22: connection scale — epoll core vs thread-per-connection");
-  waves::bench::row_line({"io", "phase", "opened", "qps", "p99_us",
-                          "threads", "rss/conn", "parity"});
+  waves::bench::header("E22: connection scale — event-loop serving core");
+  waves::bench::row_line({"phase", "opened", "qps", "p99_us", "threads",
+                          "rss/conn", "parity"});
   waves::e22(smoke);
   return 0;
 }

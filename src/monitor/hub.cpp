@@ -1,7 +1,5 @@
 #include "monitor/hub.hpp"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -9,7 +7,6 @@
 
 #include "distributed/wire.hpp"
 #include "obs/monitor_obs.hpp"
-#include "obs/net_obs.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/delta.hpp"
 
@@ -127,44 +124,7 @@ MonitorHub::MonitorHub(HubConfig cfg)
 
 MonitorHub::~MonitorHub() { stop(); }
 
-bool MonitorHub::start() {
-  if (!listener_.listen_on(cfg_.host, cfg_.port)) return false;
-  obs::NetLoopObs::instance().io_model.set(
-      static_cast<double>(static_cast<std::uint8_t>(cfg_.io_model)));
-  if (cfg_.io_model == net::IoModel::kEpoll) {
-    if (!watch_start()) {
-      listener_.close();
-      return false;
-    }
-  } else {
-    watch_thread_ = std::jthread(
-        [this](const std::stop_token& st) { watch_accept_loop(st); });
-  }
-  legs_.reserve(cfg_.parties.size());
-  for (std::size_t i = 0; i < cfg_.parties.size(); ++i) {
-    legs_.emplace_back(
-        [this, i](const std::stop_token& st) { leg_loop(i, st); });
-  }
-  return true;
-}
-
-void MonitorHub::stop() {
-  for (auto& leg : legs_) leg.request_stop();
-  if (watch_thread_.joinable()) watch_thread_.request_stop();
-  {
-    std::lock_guard lk(watchers_mu_);
-    for (auto& w : watchers_) w.thread.request_stop();
-  }
-  est_cv_.notify_all();
-  legs_.clear();  // joins — after this no thread calls watch_notify()
-  watch_stop();
-  if (watch_thread_.joinable()) watch_thread_.join();
-  {
-    std::lock_guard lk(watchers_mu_);
-    watchers_.clear();  // joins
-  }
-  listener_.close();
-}
+// start() and stop() live in hub_loop.cpp, where WatchCore is complete.
 
 HubEstimate MonitorHub::estimate() const {
   std::lock_guard lk(est_mu_);
@@ -551,181 +511,6 @@ void MonitorHub::leg_loop(std::size_t i, const std::stop_token& st) {
     nap(backoff);
     if (!pushed_any) {
       backoff = std::min(backoff * 2, cfg_.reconnect_max);
-    }
-  }
-}
-
-void MonitorHub::reap_watchers() {
-  std::lock_guard lk(watchers_mu_);
-  std::erase_if(watchers_, [](const Watcher& w) {
-    return w.done->load(std::memory_order_acquire);
-  });
-}
-
-void MonitorHub::watch_accept_loop(const std::stop_token& st) {
-  const obs::MonitorHubObs& mobs = obs::MonitorHubObs::instance();
-  while (!st.stop_requested()) {
-    net::Socket sock =
-        listener_.accept_one(net::deadline_in(std::chrono::milliseconds(100)));
-    if (!sock.valid()) continue;
-    if (cfg_.watcher_sndbuf > 0) {
-      ::setsockopt(sock.fd(), SOL_SOCKET, SO_SNDBUF, &cfg_.watcher_sndbuf,
-                   sizeof cfg_.watcher_sndbuf);
-    }
-    mobs.watchers.add();
-    reap_watchers();
-    bool over_cap = false;
-    {
-      std::lock_guard lk(watchers_mu_);
-      over_cap = watchers_.size() >= cfg_.max_watchers;
-    }
-    if (over_cap) {
-      mobs.watcher_rejected.add();
-      net::ErrReply err{0, net::ErrCode::kOverloaded, "watcher limit reached"};
-      // Short deadline, outside watchers_mu_: a peer too stalled to take
-      // one small frame must not head-of-line-block the accept loop for
-      // the full io_deadline (same rule as PartyServer's accept loop).
-      (void)net::write_frame(sock, net::MsgType::kErr, err.encode(),
-                             net::deadline_in(std::chrono::milliseconds(100)));
-      continue;  // RAII closes the socket
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    Watcher w;
-    w.done = done;
-    w.thread = std::jthread(
-        [this, s = std::move(sock), done](const std::stop_token& cst) mutable {
-          serve_watcher(std::move(s), cst);
-          done->store(true, std::memory_order_release);
-        });
-    std::lock_guard lk(watchers_mu_);
-    watchers_.push_back(std::move(w));
-  }
-}
-
-void MonitorHub::serve_watcher(net::Socket sock, const std::stop_token& st) {
-  const obs::MonitorHubObs& mobs = obs::MonitorHubObs::instance();
-  net::Frame frame;
-  Bytes payload;
-  bool subscribed = false;
-  std::uint64_t watcher_seq = 0;
-  std::uint64_t sent_revision = 0;
-  const auto send_err = [&](std::uint64_t request_id, net::ErrCode code,
-                            const char* msg) {
-    const net::ErrReply err{request_id, code, msg};
-    return net::write_frame(sock, net::MsgType::kErr, err.encode(),
-                            net::deadline_in(cfg_.io_deadline));
-  };
-  const auto send_estimate = [&](const HubEstimate& e) {
-    net::EstimateUpdate up;
-    up.seq = ++watcher_seq;
-    up.round = e.revision;
-    up.status = e.status == distributed::QueryStatus::kOk ? 1
-                : e.status == distributed::QueryStatus::kDegraded ? 2
-                                                                  : 3;
-    up.value = e.value;
-    up.exact = e.exact;
-    up.n = cfg_.n;
-    up.missing = e.missing;
-    up.error_slack = e.error_slack;
-    payload.clear();
-    up.encode_into(payload);
-    // Backpressure: the push gets the per-watcher write budget, not the
-    // full io_deadline. A peer that cannot drain one small frame in time
-    // is evicted with a typed close so this thread returns to the pool —
-    // healthy watchers fan out on their own threads and never wait on it.
-    if (!net::write_frame(sock, net::MsgType::kPushUpdate, payload,
-                          net::deadline_in(cfg_.watcher_write_budget))) {
-      mobs.watcher_evicted.add();
-      const net::ErrReply err{0, net::ErrCode::kOverloaded,
-                              "watcher too slow; evicted"};
-      (void)net::write_frame(sock, net::MsgType::kErr, err.encode(),
-                             net::deadline_in(std::chrono::milliseconds(100)));
-      return false;
-    }
-    sent_revision = e.revision;
-    mobs.watcher_updates.add();
-    return true;
-  };
-  while (!st.stop_requested()) {
-    // Drain inbound frames first; once subscribed the poll shortens so a
-    // revision wait can take over as the main blocking point.
-    const auto tick = subscribed ? std::chrono::milliseconds(1)
-                                 : std::chrono::milliseconds(100);
-    if (sock.wait_readable(net::deadline_in(tick))) {
-      const net::ReadStatus rs =
-          net::read_frame(sock, frame, net::deadline_in(cfg_.io_deadline));
-      if (rs == net::ReadStatus::kMalformed) {
-        (void)send_err(0, net::ErrCode::kBadRequest, "malformed frame");
-        return;
-      }
-      if (rs != net::ReadStatus::kOk) return;
-      switch (frame.type) {
-        case net::MsgType::kHello: {
-          net::Hello h;
-          if (!net::Hello::decode(frame.payload, h)) {
-            (void)send_err(0, net::ErrCode::kBadRequest, "bad hello");
-            return;
-          }
-          net::HelloAck ack;
-          ack.role = cfg_.role;
-          ack.party_id = 0;
-          ack.instances =
-              static_cast<std::uint64_t>(std::max(cfg_.instances, 0));
-          ack.window = cfg_.n;
-          ack.items_observed = 0;
-          ack.generation = 0;
-          if (!net::write_frame(sock, net::MsgType::kHelloAck, ack.encode(),
-                                net::deadline_in(cfg_.io_deadline))) {
-            return;
-          }
-          break;
-        }
-        case net::MsgType::kSubscribe: {
-          net::SubscribeRequest req;
-          if (!net::SubscribeRequest::decode(frame.payload, req)) {
-            (void)send_err(0, net::ErrCode::kBadRequest, "bad subscribe");
-            return;
-          }
-          if (req.role != cfg_.role) {
-            if (!send_err(req.request_id, net::ErrCode::kWrongRole,
-                          "hub monitors a different role")) {
-              return;
-            }
-            break;
-          }
-          if (req.n != cfg_.n) {
-            if (!send_err(req.request_id, net::ErrCode::kBadRequest,
-                          "hub monitors a different window")) {
-              return;
-            }
-            break;
-          }
-          subscribed = true;
-          // The current estimate is the subscription's ack.
-          if (!send_estimate(estimate())) return;
-          break;
-        }
-        case net::MsgType::kUnsubscribe: {
-          net::Unsubscribe u;
-          if (!net::Unsubscribe::decode(frame.payload, u)) {
-            (void)send_err(0, net::ErrCode::kBadRequest, "bad unsubscribe");
-            return;
-          }
-          subscribed = false;
-          break;
-        }
-        default:
-          (void)send_err(0, net::ErrCode::kBadRequest,
-                         "unsupported message for a monitor hub");
-          return;
-      }
-      continue;
-    }
-    if (!subscribed) continue;
-    const HubEstimate e =
-        wait_revision(sent_revision, std::chrono::milliseconds(100));
-    if (e.revision > sent_revision) {
-      if (!send_estimate(e)) return;
     }
   }
 }

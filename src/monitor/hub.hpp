@@ -24,10 +24,10 @@
 // EstimateUpdate bodies in kPushUpdate frames — the merged estimate, not
 // checkpoints — pushed whenever the hub's revision advances, so N watchers
 // cost one recompute plus N small frames per change and *zero* traffic
-// while the streams are quiescent.
+// while the streams are quiescent. Every watcher lives on one event loop
+// (hub_loop.cpp); the party legs are one blocking client thread each.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -45,7 +45,6 @@
 #include "monitor/slack.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
-#include "net/io_model.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 
@@ -78,24 +77,12 @@ struct HubConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::size_t max_watchers = 64;
-  // Per-watcher write budget: an EstimateUpdate push that cannot complete
-  // within it evicts the watcher with a typed kOverloaded close (counted
-  // in waves_monitor_hub_watcher_evicted_total). Watchers fan out on their
-  // own threads, so the budget bounds how long one stalled peer can hold
-  // its thread — the healthy watchers' fan-out never waits on it.
+  // Per-watcher write budget: a watcher whose queued EstimateUpdate push
+  // stays unsent (its socket full) this long is evicted with a typed
+  // kOverloaded close (counted in waves_monitor_hub_watcher_evicted_total).
+  // The budget is a timer on the stalled write queue, so healthy watchers'
+  // fan-out never waits on a slow one.
   std::chrono::milliseconds watcher_write_budget{250};
-  // Kernel send-buffer cap (SO_SNDBUF) for each accepted watcher socket;
-  // 0 keeps the OS default. Bounding it makes the write budget an effective
-  // backpressure bound — with the default auto-tuned buffer the kernel
-  // absorbs megabytes of unread pushes before a write ever blocks.
-  int watcher_sndbuf = 0;
-  // Watcher fan-out I/O core. kEpoll (the Linux default) multiplexes every
-  // watcher on one event loop: pushes go through non-blocking write queues
-  // with latest-wins estimate coalescing, and the write budget is a timer
-  // on the stalled queue instead of a blocked thread. kThreads keeps the
-  // original thread-per-watcher core. Party legs are threads either way —
-  // there are only ever a handful, and they block in read_frame by design.
-  net::IoModel io_model = net::default_io_model();
   // Count/distinct merge parameters — must match the deployment (stored
   // coins: the hub re-derives the shared hashes from the seed, exactly
   // like NetworkCountSource).
@@ -127,7 +114,7 @@ class MonitorHub {
   MonitorHub(const MonitorHub&) = delete;
   MonitorHub& operator=(const MonitorHub&) = delete;
 
-  /// Bind the watcher listener and start the party legs + accept loop.
+  /// Bind the watcher listener and start the party legs + watcher loop.
   /// False if the bind fails.
   [[nodiscard]] bool start();
   /// Stop all legs and watchers, close the listener. Idempotent.
@@ -178,13 +165,8 @@ class MonitorHub {
   void set_leg_down(std::size_t i);
   /// Re-derive the merged estimate from the mirrors and publish it.
   void recompute();
-  void watch_accept_loop(const std::stop_token& st);
-  void serve_watcher(net::Socket sock, const std::stop_token& st);
-  void reap_watchers();
   void emit(const std::string& line);
-  // Event-loop watcher core (hub_loop.cpp); no-ops under kThreads.
-  [[nodiscard]] bool watch_start();
-  void watch_stop();
+  /// Wake the watcher loop to fan out the newest estimate (hub_loop.cpp).
   void watch_notify();
 
   HubConfig cfg_;
@@ -205,15 +187,8 @@ class MonitorHub {
 
   net::Listener listener_;
   std::vector<std::jthread> legs_;
-  std::jthread watch_thread_;
-  struct Watcher {
-    std::jthread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex watchers_mu_;
-  std::vector<Watcher> watchers_;
 
-  // Event-loop watcher core, live only under IoModel::kEpoll. Opaque here
+  // Event-loop watcher core, live between start() and stop(). Opaque here
   // (defined in hub_loop.cpp) with a custom deleter so this header needs
   // no event-loop types.
   struct WatchCore;

@@ -1,5 +1,5 @@
-// MonitorHub's event-loop watcher core (HubConfig::io_model == kEpoll):
-// one EventLoop thread owns every watcher connection, so thousands of
+// MonitorHub's watcher fan-out core: one EventLoop thread (epoll, or its
+// poll(2) fallback) owns every watcher connection, so thousands of
 // `wavecli watch` subscribers cost one resident thread instead of one
 // thread each. Protocol work per frame is a handful of varint decodes and
 // a mutex-guarded estimate copy — cheap enough to run on the loop thread
@@ -13,10 +13,10 @@
 // revision — intermediate revisions are never queued, so a slow watcher's
 // memory footprint stays one frame no matter how fast the hub recomputes.
 //
-// Backpressure mirrors the threads core's contract: a write queue that
-// stays non-empty past watcher_write_budget evicts the watcher with a
-// typed kOverloaded close (best-effort — the err frame only lands if the
-// socket has room), counted in waves_monitor_hub_watcher_evicted_total.
+// Backpressure: a write queue that stays non-empty past
+// watcher_write_budget evicts the watcher with a typed kOverloaded close
+// (best-effort — the err frame only lands if the socket has room), counted
+// in waves_monitor_hub_watcher_evicted_total.
 #include <cstring>
 
 #include <sys/socket.h>
@@ -101,10 +101,6 @@ struct MonitorHub::WatchCore {
     while (true) {
       net::Socket s = hub.listener_.try_accept();
       if (!s.valid()) break;
-      if (hub.cfg_.watcher_sndbuf > 0) {
-        ::setsockopt(s.fd(), SOL_SOCKET, SO_SNDBUF, &hub.cfg_.watcher_sndbuf,
-                     sizeof hub.cfg_.watcher_sndbuf);
-      }
       mobs.watchers.add();
       auto w = std::make_shared<Watcher>();
       w->sock = std::move(s);
@@ -217,8 +213,7 @@ struct MonitorHub::WatchCore {
     }
 
     if (w->peer_eof && !w->close_after_flush) {
-      // The threads core closes as soon as a read sees EOF; writes there
-      // are synchronous, so nothing is ever in flight at that point.
+      // A watcher that hung up reads nothing more; drop whatever is queued.
       close_watcher(w);
       return;
     }
@@ -267,7 +262,7 @@ struct MonitorHub::WatchCore {
         }
         w->subscribed = true;
         // The current estimate is the subscription's ack, whatever its
-        // revision — matching serve_watcher.
+        // revision.
         enqueue_estimate(w, hub.estimate());
         return;
       }
@@ -418,8 +413,7 @@ struct MonitorHub::WatchCore {
   }
 
   /// Typed eviction: count it, best-effort the kOverloaded err (it only
-  /// lands if the socket has room — same "when the err frame still fit"
-  /// contract as the threads core), close.
+  /// lands if the socket has room), close.
   void evict(const std::shared_ptr<Watcher>& w) {
     obs::MonitorHubObs::instance().watcher_evicted.add();
     const net::ErrReply err{0, net::ErrCode::kOverloaded,
@@ -468,22 +462,35 @@ void MonitorHub::WatchCoreDeleter::operator()(WatchCore* core) const {
   delete core;
 }
 
-bool MonitorHub::watch_start() {
+bool MonitorHub::start() {
+  if (!listener_.listen_on(cfg_.host, cfg_.port)) return false;
   watch_core_ =
       std::unique_ptr<WatchCore, WatchCoreDeleter>(new WatchCore(*this));
-  if (watch_core_->start()) return true;
-  watch_core_.reset();
-  return false;
+  if (!watch_core_->start()) {
+    watch_core_.reset();
+    listener_.close();
+    return false;
+  }
+  legs_.reserve(cfg_.parties.size());
+  for (std::size_t i = 0; i < cfg_.parties.size(); ++i) {
+    legs_.emplace_back(
+        [this, i](const std::stop_token& st) { leg_loop(i, st); });
+  }
+  return true;
 }
 
-void MonitorHub::watch_stop() {
-  if (watch_core_ == nullptr) return;
-  if (watch_core_->thread.joinable()) {
-    watch_core_->thread.request_stop();
-    watch_core_->loop.wake();
-    watch_core_->thread.join();
+void MonitorHub::stop() {
+  for (auto& leg : legs_) leg.request_stop();
+  legs_.clear();  // joins — after this no thread calls watch_notify()
+  if (watch_core_ != nullptr) {
+    if (watch_core_->thread.joinable()) {
+      watch_core_->thread.request_stop();
+      watch_core_->loop.wake();
+      watch_core_->thread.join();
+    }
+    watch_core_.reset();
   }
-  watch_core_.reset();
+  listener_.close();
 }
 
 void MonitorHub::watch_notify() {

@@ -1,8 +1,9 @@
-// PartyServer's epoll core (ServerConfig::io_model == kEpoll): one
-// EventLoop thread owns every connection's state machine, a fixed
-// WorkerPool runs process_frame (the same frame logic the threads core
-// runs), and push-drift checks are timer-wheel entries instead of sleeping
-// threads. Per-connection state machine:
+// PartyServer's serving core: one EventLoop thread owns every
+// connection's state machine, a fixed WorkerPool runs process_frame (the
+// transport-independent frame logic in server.cpp), and push-drift checks
+// are timer-wheel entries instead of sleeping threads. The loop runs on
+// epoll, or on its poll(2) fallback where epoll is unavailable
+// (net/event_loop.hpp). Per-connection state machine:
 //
 //       reading header ──> reading payload ──> computing ──> writing reply
 //            ^  \_____________ (partial: deadline timer) ________/   |
@@ -15,7 +16,7 @@
 //     and loop.post's mutex);
 //   - at most one worker job per connection is in flight (`busy`), so
 //     frames are processed — and replies written — strictly in arrival
-//     order, matching the threads core's request/reply alignment;
+//     order, keeping request/reply alignment on a pipelined connection;
 //   - writes never block: flush_writes sends until EAGAIN and parks the
 //     residue in a bounded write queue drained on EPOLLOUT; a queue that
 //     stays nonempty past the connection's write budget closes it
@@ -49,16 +50,15 @@ constexpr std::size_t kMaxPendingFrames = 32;
 // Queued-write bound; a peer that won't drain this much is closed.
 constexpr std::size_t kMaxWriteQueueBytes = std::size_t{4} << 20;
 // Read throttle: stop pulling new requests while this much reply data is
-// still queued (mirrors the threads core, which can't read mid-write).
+// still queued, so a peer that pipelines without reading can't grow the
+// write queue faster than it drains.
 constexpr std::size_t kWriteHighWater = std::size_t{256} << 10;
 
 }  // namespace
 
 struct PartyServer::LoopCore {
   explicit LoopCore(PartyServer& server)
-      : srv(server),
-        pool(server.cfg_.io_workers != 0 ? server.cfg_.io_workers
-                                         : default_worker_count()) {}
+      : srv(server), pool(default_worker_count()) {}
 
   struct Conn {
     Socket sock;
@@ -114,7 +114,7 @@ struct PartyServer::LoopCore {
     draining = true;
     loop.del_fd(srv.listener_.fd());
     // Close everything idle; busy connections flush their last reply and
-    // close at completion — same contract as the threads core's grace.
+    // close at completion, so an in-flight exchange finishes within grace.
     std::vector<std::shared_ptr<Conn>> snapshot;
     snapshot.reserve(conns.size());
     for (auto& [fd, c] : conns) snapshot.push_back(c);
@@ -221,7 +221,7 @@ struct PartyServer::LoopCore {
     }
 
     // Extract every complete frame; a malformed header loses framing for
-    // good, exactly like the threads core's read_frame.
+    // good, so the connection gets one typed Err and closes.
     while (c->inbuf.size() - c->inpos >= kHeaderSize) {
       MsgType type{};
       std::uint32_t len = 0;
@@ -346,13 +346,11 @@ struct PartyServer::LoopCore {
       if (!cc || cc->closed) return;
       cc->drift_timer = 0;
       if (!cc->sub_active || cc->close_after_flush) return;
-      arm_drift_timer(cc);  // fixed cadence, like the threads core's tick
-      if (cc->busy) {
-        cc->drift_pending = true;  // coalesces: one pending check at most
-      } else {
-        cc->drift_pending = true;
-        dispatch_next(cc);
-      }
+      arm_drift_timer(cc);  // fixed cadence
+      // Coalesces: one pending check at most. A busy connection picks it
+      // up in complete() -> dispatch_next.
+      cc->drift_pending = true;
+      dispatch_next(cc);
     });
   }
 
@@ -491,37 +489,41 @@ void PartyServer::LoopCoreDeleter::operator()(LoopCore* core) const {
   delete core;
 }
 
-bool PartyServer::loop_start() {
+bool PartyServer::start() {
+  if (!listener_.listen_on(cfg_.host, cfg_.port)) return false;
   loop_ = std::unique_ptr<LoopCore, LoopCoreDeleter>(new LoopCore(*this));
   if (loop_->start()) return true;
   loop_.reset();
+  listener_.close();
   return false;
 }
 
-void PartyServer::loop_stop() {
-  if (loop_ == nullptr) return;
-  if (loop_->thread.joinable()) {
-    loop_->thread.request_stop();
-    loop_->loop.wake();
-    loop_->thread.join();
+void PartyServer::stop() {
+  if (loop_ != nullptr) {
+    if (loop_->thread.joinable()) {
+      loop_->thread.request_stop();
+      loop_->loop.wake();
+      loop_->thread.join();
+    }
+    // LoopCore's destructor order finishes the job: the pool joins its
+    // workers (in-flight jobs post into the still-live loop object, where
+    // the closures are simply never run), then the loop and conns go.
+    loop_.reset();
   }
-  // LoopCore's destructor order finishes the job: the pool joins its
-  // workers (in-flight jobs post into the still-live loop object, where
-  // the closures are simply never run), then the loop and conns go.
-  loop_.reset();
+  listener_.close();
 }
 
-void PartyServer::loop_drain(std::chrono::milliseconds grace) {
-  if (loop_ == nullptr) return;
-  loop_->loop.post([core = loop_.get()] { core->begin_drain(); });
-  loop_->loop.wake();
-  const Deadline dl = deadline_in(grace);
-  while (loop_->live.load(std::memory_order_relaxed) > 0 &&
-         Clock::now() < dl) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+void PartyServer::drain(std::chrono::milliseconds grace) {
+  if (loop_ != nullptr) {
+    loop_->loop.post([core = loop_.get()] { core->begin_drain(); });
+    loop_->loop.wake();
+    const Deadline dl = deadline_in(grace);
+    while (loop_->live.load(std::memory_order_relaxed) > 0 &&
+           Clock::now() < dl) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
-  loop_stop();
-  listener_.close();
+  stop();  // stragglers past the grace window are stopped the hard way
 }
 
 }  // namespace waves::net

@@ -78,9 +78,9 @@ class Listener {
   [[nodiscard]] bool listen_on(const std::string& host, std::uint16_t port);
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool valid() const noexcept { return sock_.valid(); }
-  /// One accepted connection, or an invalid Socket on timeout/error. The
-  /// accept loop calls this with a short deadline and checks its stop
-  /// token between calls.
+  /// One accepted connection, or an invalid Socket on timeout/error —
+  /// a blocking accept for single-connection peers (test fixtures, fake
+  /// servers); the serving cores use try_accept.
   [[nodiscard]] Socket accept_one(Deadline dl);
   /// Nonblocking accept of one already-queued connection; invalid Socket
   /// when none is pending. The event-loop accept handler calls this in a

@@ -55,8 +55,6 @@
 //   waves_net_loop_stalled_writes_total flushes left bytes queued (peer's
 //                                       socket full — backpressure engaged)
 //   waves_net_loop_queue_depth          worker-pool jobs queued, not started
-//   waves_net_io_model                  info gauge: 1 = threads core,
-//                                       2 = epoll core (IoModel values)
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -109,7 +107,6 @@ struct NetLoopObs {
   const Counter& timer_fires;
   const Counter& stalled_writes;
   const Gauge& queue_depth;
-  const Gauge& io_model;
 
   static const NetLoopObs& instance();
 };

@@ -981,10 +981,37 @@ TEST(MonitorWatch, WatcherCapRejectsWithTypedOverload) {
   hub.stop();
 }
 
+/// Shrink the kernel send buffer of every watcher socket the hub accepts
+/// from now on: sockets accepted on Linux inherit SO_SNDBUF from their
+/// listener, which is found among this process's fds by its bound port.
+/// The stand-in for a congested link — with the default auto-tuned buffer
+/// the kernel absorbs megabytes of unread pushes before a write stalls.
+void shrink_hub_send_buffers(std::uint16_t watch_port) {
+  int listener = -1;
+  for (int fd = 0; fd < 4096 && listener < 0; ++fd) {
+    int accepting = 0;
+    socklen_t len = sizeof accepting;
+    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &accepting, &len) != 0 ||
+        accepting == 0) {
+      continue;
+    }
+    sockaddr_in addr{};
+    socklen_t alen = sizeof addr;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen) == 0 &&
+        addr.sin_family == AF_INET && ntohs(addr.sin_port) == watch_port) {
+      listener = fd;
+    }
+  }
+  ASSERT_GE(listener, 0) << "hub listener not found";
+  int one = 1;  // the kernel clamps this to its floor (a few KB)
+  ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_SNDBUF, &one, sizeof one),
+            0);
+}
+
 /// Connect with a minimal kernel receive buffer (set before connect so the
-/// advertised window stays tiny). Together with HubConfig::watcher_sndbuf
-/// this caps the unread bytes a stalled watcher can absorb at a few KB, so
-/// the write budget trips after a few dozen pushes instead of megabytes.
+/// advertised window stays tiny). Together with shrink_hub_send_buffers this
+/// caps the unread bytes a stalled watcher can absorb at a few KB, so the
+/// write budget trips after a few dozen pushes instead of megabytes.
 net::Socket connect_tiny_rcvbuf(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -1024,9 +1051,9 @@ TEST(MonitorWatch, SlowWatcherEvictedHealthyWatcherUnaffected) {
       hub_config({{"127.0.0.1", server.port()}}, net::PartyRole::kSum);
   cfg.max_value = kMaxValue;
   cfg.watcher_write_budget = std::chrono::milliseconds(50);
-  cfg.watcher_sndbuf = 1;  // kernel clamps to its floor (a few KB)
   MonitorHub hub(cfg);
   ASSERT_TRUE(hub.start());
+  ASSERT_NO_FATAL_FAILURE(shrink_hub_send_buffers(hub.watch_port()));
   (void)wait_until(hub, [](const HubEstimate& e) {
     return e.status == distributed::QueryStatus::kOk;
   });

@@ -1,9 +1,8 @@
 // Event-loop core tests: EventLoop timers/fds/post (both backends — epoll
-// and the poll(2) fallback), the WorkerPool, byte-level differential
-// checks between the thread-per-connection core and the epoll core, and
-// the slow-loris deadline behavior only the readiness-driven core can be
-// attacked with. Suite names start with NetLoop so the TSan CI leg's
-// -R "...|Net" regex picks every test up.
+// and the poll(2) fallback), the WorkerPool, the served replies checked
+// byte-for-byte against the in-process party they answer for, a live
+// session, and the slow-loris deadline behavior. Suite names start with
+// NetLoop so the TSan CI leg's -R "...|Net" regex picks every test up.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -18,7 +17,6 @@
 #include "distributed/party.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
-#include "net/io_model.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
@@ -249,7 +247,7 @@ TEST(NetLoopPool, DefaultWorkerCountIsBoundedSmall) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the two cores must be byte-identical on the wire.
+// Differential: the served replies against the in-process oracle.
 
 struct RawConn {
   Socket sock;
@@ -269,71 +267,80 @@ struct RawConn {
   }
 };
 
-TEST(NetLoopDifferential, WireBytesIdenticalAcrossCores) {
+void expect_snapshots_eq(const std::vector<core::RandWaveSnapshot>& got,
+                         const std::vector<core::RandWaveSnapshot>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].level, want[k].level) << "instance " << k;
+    EXPECT_EQ(got[k].stream_len, want[k].stream_len) << "instance " << k;
+    EXPECT_EQ(got[k].positions, want[k].positions) << "instance " << k;
+  }
+}
+
+TEST(NetLoopDifferential, RepliesMatchInProcessParty) {
+  // The party is quiescent, so every reply is taken at the same cursor as
+  // the in-process snapshot it is compared with.
   distributed::CountParty party(params(), 3, 21);
   for (int i = 0; i < 3000; ++i) party.observe((i % 3) == 0);
+  PartyServer server(ServerConfig{}, &party);
+  ASSERT_TRUE(server.start());
+  RawConn c = RawConn::open(server.port());
 
-  ServerConfig threads_cfg;
-  threads_cfg.io_model = IoModel::kThreads;
-  ServerConfig epoll_cfg;
-  epoll_cfg.io_model = IoModel::kEpoll;
-  PartyServer threads_srv(threads_cfg, &party);
-  PartyServer epoll_srv(epoll_cfg, &party);
-  ASSERT_TRUE(threads_srv.start());
-  ASSERT_TRUE(epoll_srv.start());
-
-  RawConn a = RawConn::open(threads_srv.port());
-  RawConn b = RawConn::open(epoll_srv.port());
-
-  // Handshake: identical HelloAck bytes.
+  // Handshake: the ack describes this party.
   Hello hello;
   hello.client_id = 42;
-  const Frame ack_a = a.exchange(MsgType::kHello, hello.encode());
-  const Frame ack_b = b.exchange(MsgType::kHello, hello.encode());
-  EXPECT_EQ(ack_a.type, MsgType::kHelloAck);
-  EXPECT_EQ(ack_a.type, ack_b.type);
-  EXPECT_EQ(ack_a.payload, ack_b.payload);
+  const Frame ack = c.exchange(MsgType::kHello, hello.encode());
+  ASSERT_EQ(ack.type, MsgType::kHelloAck);
+  HelloAck decoded_ack;
+  ASSERT_TRUE(HelloAck::decode(ack.payload, decoded_ack));
+  EXPECT_EQ(decoded_ack.role, PartyRole::kCount);
+  EXPECT_EQ(decoded_ack.instances, 3u);
+  EXPECT_EQ(decoded_ack.window, 1024u);
+  EXPECT_EQ(decoded_ack.items_observed, party.items_observed());
 
-  // Full snapshot reply: identical bytes (same party, same cursor).
+  // Full snapshot reply: the decoded snapshots are the party's own, and
+  // the bytes are exactly the encoding of the in-process reply.
   SnapshotRequest req;
   req.request_id = 7;
   req.role = PartyRole::kCount;
   req.n = 1024;
-  const Frame rep_a = a.exchange(MsgType::kSnapshotRequest, req.encode());
-  const Frame rep_b = b.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(rep_a.type, MsgType::kCountReply);
-  EXPECT_EQ(rep_a.type, rep_b.type);
-  EXPECT_EQ(rep_a.payload, rep_b.payload);
+  const Frame rep = c.exchange(MsgType::kSnapshotRequest, req.encode());
+  ASSERT_EQ(rep.type, MsgType::kCountReply);
+  CountReply decoded;
+  ASSERT_TRUE(CountReply::decode(rep.payload, decoded));
+  EXPECT_EQ(decoded.request_id, 7u);
+  const std::vector<core::RandWaveSnapshot> want = party.snapshots(req.n);
+  expect_snapshots_eq(decoded.snapshots, want);
+  CountReply oracle;
+  oracle.request_id = 7;
+  oracle.snapshots = want;
+  EXPECT_EQ(rep.payload, oracle.encode());
 
-  // Typed error path: wrong role, identical ErrReply bytes, connection
-  // stays usable on both cores.
+  // Typed error path: wrong role gets kWrongRole for this request id...
   req.request_id = 8;
   req.role = PartyRole::kDistinct;
-  const Frame err_a = a.exchange(MsgType::kSnapshotRequest, req.encode());
-  const Frame err_b = b.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(err_a.type, MsgType::kErr);
-  EXPECT_EQ(err_a.type, err_b.type);
-  EXPECT_EQ(err_a.payload, err_b.payload);
-  ErrReply decoded;
-  ASSERT_TRUE(ErrReply::decode(err_a.payload, decoded));
-  EXPECT_EQ(decoded.code, ErrCode::kWrongRole);
+  const Frame err = c.exchange(MsgType::kSnapshotRequest, req.encode());
+  ASSERT_EQ(err.type, MsgType::kErr);
+  ErrReply decoded_err;
+  ASSERT_TRUE(ErrReply::decode(err.payload, decoded_err));
+  EXPECT_EQ(decoded_err.request_id, 8u);
+  EXPECT_EQ(decoded_err.code, ErrCode::kWrongRole);
 
+  // ...and the connection stays usable: the next query still matches the
+  // in-process party.
   req.request_id = 9;
   req.role = PartyRole::kCount;
-  const Frame again_a = a.exchange(MsgType::kSnapshotRequest, req.encode());
-  const Frame again_b = b.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(again_a.payload, again_b.payload);
+  const Frame again = c.exchange(MsgType::kSnapshotRequest, req.encode());
+  ASSERT_EQ(again.type, MsgType::kCountReply);
+  oracle.request_id = 9;
+  EXPECT_EQ(again.payload, oracle.encode());
 }
 
-// Live-server behaviors per core: handshake, query, subscribe ack.
-class NetLoopServer : public ::testing::TestWithParam<IoModel> {};
-
-TEST_P(NetLoopServer, HelloQuerySubscribeAllServe) {
+// Live-server session: handshake, query, subscribe ack, unsubscribe.
+TEST(NetLoopServer, HelloQuerySubscribeAllServe) {
   distributed::CountParty party(params(), 3, 5);
   for (int i = 0; i < 2000; ++i) party.observe(i % 2 == 0);
-  ServerConfig cfg;
-  cfg.io_model = GetParam();
-  PartyServer server(cfg, &party);
+  PartyServer server(ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
 
   RawConn c = RawConn::open(server.port());
@@ -372,22 +379,14 @@ TEST_P(NetLoopServer, HelloQuerySubscribeAllServe) {
   EXPECT_EQ(rep2.type, MsgType::kCountReply);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cores, NetLoopServer,
-                         ::testing::Values(IoModel::kThreads,
-                                           IoModel::kEpoll),
-                         [](const ::testing::TestParamInfo<IoModel>& p) {
-                           return std::string(io_model_name(p.param));
-                         });
-
 // ---------------------------------------------------------------------------
-// Slow loris: the epoll core must expire stalled partial frames via the
+// Slow loris: the loop must expire stalled partial frames via the
 // deadline wheel without stalling any other session.
 
 TEST(NetLoopSlowLoris, StalledPartialHeaderExpiresOthersUnaffected) {
   distributed::CountParty party(params(), 3, 9);
   for (int i = 0; i < 1000; ++i) party.observe(true);
   ServerConfig cfg;
-  cfg.io_model = IoModel::kEpoll;
   cfg.io_deadline = std::chrono::milliseconds(200);
   PartyServer server(cfg, &party);
   ASSERT_TRUE(server.start());
@@ -427,7 +426,6 @@ TEST(NetLoopSlowLoris, StalledPartialHeaderExpiresOthersUnaffected) {
 TEST(NetLoopSlowLoris, StalledPayloadExpiresToo) {
   distributed::CountParty party(params(), 3, 9);
   ServerConfig cfg;
-  cfg.io_model = IoModel::kEpoll;
   cfg.io_deadline = std::chrono::milliseconds(150);
   PartyServer server(cfg, &party);
   ASSERT_TRUE(server.start());

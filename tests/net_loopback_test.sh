@@ -210,9 +210,8 @@ wait "$pid" 2>/dev/null || true
 grep -q 'WAVED READY' "$log" &&
   fail "crash: party finished ingest before kill -9 — pacing too fast"
 
-# start_basic_with_state [extra flags...]: four basic daemons, party 0
-# restarting from the crashed state dir (differential replay), the rest
-# fresh. Extra flags (e.g. --io epoll) apply to every daemon.
+# start_basic_with_state: four basic daemons, party 0 restarting from the
+# crashed state dir (differential replay), the rest fresh.
 start_basic_with_state() {
   local j log port
   PIDS=()
@@ -222,7 +221,7 @@ start_basic_with_state() {
     extra=()
     [[ $j -eq 0 ]] && extra=(--state-dir "$STATE/p0")
     "$WAVED" --role basic --party-id "$j" --port 0 "${COMMON[@]}" \
-      "${extra[@]}" "$@" >"$log" 2>&1 &
+      "${extra[@]}" >"$log" 2>&1 &
     PIDS+=("$!")
   done
   for ((j = 0; j < PARTIES; ++j)); do
@@ -288,49 +287,6 @@ grep -q 'fails closed' "$TMP/faulted.err" ||
 diff -u "$TMP/local_count.out" "$TMP/healed.out" >&2 ||
   fail "answer after faults subside differs from the in-process answer"
 echo "FAULTS count: partition fails closed (rc=4), parity after healing"
-stop_daemons
-
-# --- I/O core differential: the same deployment served by --io threads ---
-# --- and --io epoll must answer byte-identically to the in-process ---
-# --- referee (and therefore to each other), and the READY line must ---
-# --- advertise the selected core. ---
-for io in threads epoll; do
-  start_daemons count --io "$io"
-  grep -q "WAVED READY .*io=$io" "$TMP/waved_count_0.log" ||
-    fail "READY line does not advertise io=$io: \
-$(grep READY "$TMP/waved_count_0.log")"
-  "$WAVECLI" query --mode count --connect "$ENDPOINTS" "${COMMON[@]}" \
-    >"$TMP/io_$io.out" || fail "count query against --io $io daemons exited $?"
-  diff -u "$TMP/local_count.out" "$TMP/io_$io.out" >&2 ||
-    fail "--io $io daemons differ from the in-process answer"
-  stop_daemons
-done
-echo "IO-CORES count: threads == epoll == local"
-
-# --- kill -9 an --io epoll daemon mid-ingest; the restarted epoll ---
-# --- deployment recovers from its checkpoint with parity intact. ---
-rm -rf "$STATE/p0"
-log="$TMP/io_crash.log"
-"$WAVED" --role basic --party-id 0 "${COMMON[@]}" --state-dir "$STATE/p0" \
-  --io epoll --ingest-chunk 1000 --ingest-delay-ms 100 \
-  --checkpoint-every-items 2000 >"$log" 2>&1 &
-pid=$!
-for _ in $(seq 1 200); do
-  [[ -s "$STATE/p0/checkpoint.bin" ]] && break
-  sleep 0.05
-done
-[[ -s "$STATE/p0/checkpoint.bin" ]] ||
-  fail "io-epoll crash: no mid-ingest checkpoint"
-kill -9 "$pid" 2>/dev/null || true
-wait "$pid" 2>/dev/null || true
-start_basic_with_state --io epoll
-grep -q 'WAVED RESTORED' "$TMP/waved_recover_0.log" ||
-  fail "restarted --io epoll party 0 did not restore its checkpoint"
-"$WAVECLI" query --mode basic --connect "$ENDPOINTS" "${COMMON[@]}" \
-  >"$TMP/io_recovered.out" || fail "recovered --io epoll query exited $?"
-diff -u "$TMP/local_basic.out" "$TMP/io_recovered.out" >&2 ||
-  fail "recovered --io epoll deployment differs from the in-process answer"
-echo "IO-CRASH epoll: kill -9 -> restart -> parity holds"
 stop_daemons
 
 # --- Continuous monitoring: hub + watcher parity, kill -9 epoch resync. ---

@@ -108,7 +108,6 @@
 #include "monitor/hub.hpp"
 #include "monitor/slack.hpp"
 #include "net/client.hpp"
-#include "net/io_model.hpp"
 #include "net/server.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
@@ -161,7 +160,6 @@ struct Options {
   std::uint64_t max_watchers = 64;
   std::uint16_t port = 0;
   std::string hub_host = "127.0.0.1";
-  waves::net::IoModel io_model = waves::net::default_io_model();
   double serve_seconds = 0.0;  // 0: until signaled
   std::uint64_t updates = 0;   // watch: exit after K updates (0 = forever)
   // fleet mode:
@@ -197,7 +195,6 @@ int usage() {
                "               [--max-value R] [--split uniform|boosted]\n"
                "               [--check-ms MS] [--port P] [--hub-host H]\n"
                "               [--max-watchers K] [--serve-seconds SEC]\n"
-               "               [--io epoll|threads]\n"
                "       wavecli watch --connect host:port [--mode M] "
                "[--window N]\n"
                "               [--n W] [--updates K] [--deadline-ms MS]\n"
@@ -301,8 +298,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.port = static_cast<std::uint16_t>(std::strtoul(val, nullptr, 10));
     } else if (flag == "--hub-host") {
       o.hub_host = val;
-    } else if (flag == "--io") {
-      if (!waves::net::parse_io_model(val, o.io_model)) return std::nullopt;
     } else if (flag == "--serve-seconds") {
       o.serve_seconds = std::atof(val);
     } else if (flag == "--updates") {
@@ -822,7 +817,6 @@ int run_hub(const Options& o) {
   cfg.host = o.hub_host;
   cfg.port = o.port;
   cfg.max_watchers = static_cast<std::size_t>(o.max_watchers);
-  cfg.io_model = o.io_model;
   cfg.count_params = tools::count_params(o.eps_raw, o.window);
   cfg.distinct_params =
       tools::distinct_params(o.eps_raw, o.window, o.value_space, o.parties);
@@ -841,10 +835,9 @@ int run_hub(const Options& o) {
   }
   std::signal(SIGINT, on_hub_signal);
   std::signal(SIGTERM, on_hub_signal);
-  std::printf("HUB READY port=%u parties=%zu role=%s eps=%.17g split=%s "
-              "io=%s\n",
+  std::printf("HUB READY port=%u parties=%zu role=%s eps=%.17g split=%s\n",
               hub.watch_port(), endpoints.size(), o.qmode.c_str(), o.eps_raw,
-              o.split.c_str(), net::io_model_name(o.io_model));
+              o.split.c_str());
   std::fflush(stdout);
   const auto t0 = std::chrono::steady_clock::now();
   while (g_hub_stop == 0) {

@@ -58,7 +58,6 @@
 #include "agg/agg_wave.hpp"
 #include "distributed/party.hpp"
 #include "feed_config.hpp"
-#include "net/io_model.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recovery_obs.hpp"
@@ -93,7 +92,6 @@ struct Options {
   bool push = true;
   std::uint64_t push_check_ms = 25;
   std::uint64_t max_conns = 64;
-  waves::net::IoModel io_model = waves::net::default_io_model();
   waves::tools::FeedSpec feed;
 };
 
@@ -111,7 +109,7 @@ int usage() {
       "             [--checkpoint-every-items N] [--ingest-chunk N]\n"
       "             [--ingest-delay-ms MS] [--serve-seconds SEC]\n"
       "             [--delta on|off] [--push on|off] [--push-check-ms MS]\n"
-      "             [--max-conns K] [--io epoll|threads]\n");
+      "             [--max-conns K]\n");
   return 2;
 }
 
@@ -179,8 +177,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.push_check_ms = std::strtoull(val, nullptr, 10);
     } else if (flag == "--max-conns") {
       o.max_conns = std::strtoull(val, nullptr, 10);
-    } else if (flag == "--io") {
-      if (!waves::net::parse_io_model(val, o.io_model)) return std::nullopt;
     } else {
       return std::nullopt;
     }
@@ -297,14 +293,11 @@ int serve(const Options& o, waves::net::PartyServer& server,
   waves::obs::Registry::instance()
       .gauge("waves_party_id")
       .set(static_cast<double>(o.party_id));
-  // io= rides at the end so existing port=/generation= scrapers (the
-  // loopback test's sed, the supervisor's READY parser) keep matching.
   std::printf("WAVED READY role=%s party=%d port=%u items=%llu "
-              "generation=%llu io=%s\n",
+              "generation=%llu\n",
               o.role.c_str(), o.party_id, server.port(),
               static_cast<unsigned long long>(items),
-              static_cast<unsigned long long>(generation),
-              waves::net::io_model_name(o.io_model));
+              static_cast<unsigned long long>(generation));
   std::fflush(stdout);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -413,7 +406,6 @@ int main(int argc, char** argv) {
   if (o.max_conns > 0) {
     cfg.max_connections = static_cast<std::size_t>(o.max_conns);
   }
-  cfg.io_model = o.io_model;
 
   if (o.role == "count") {
     distributed::CountParty party(tools::count_params(o.eps, o.window),
