@@ -14,6 +14,14 @@ namespace waves::monitor {
 
 using distributed::Bytes;
 
+namespace {
+
+// Per-leg circuit breaker: this many consecutive failed connect/subscribe
+// cycles trip a leg open (see HubConfig::breaker_cooldown).
+constexpr int kLegBreakerThreshold = 5;
+
+}  // namespace
+
 // Mirror-backed snapshot sources: the same SnapshotSource contract the TCP
 // and in-process paths implement, so recompute() runs the identical
 // union/median code — that, plus snapshots derived by the same
@@ -366,8 +374,8 @@ void MonitorHub::leg_loop(std::size_t i, const std::stop_token& st) {
   const net::Endpoint& ep = cfg_.parties[i];
   auto backoff = cfg_.reconnect_base;
   bool ever_connected = false;
-  // Per-leg circuit breaker (see HubConfig): consecutive failed cycles
-  // trip it; while open the leg probes once per cooldown instead of
+  // Per-leg circuit breaker: kLegBreakerThreshold consecutive failed
+  // cycles trip it; while open the leg probes once per cooldown instead of
   // reconnect-backoff hammering a dead endpoint.
   int breaker_failures = 0;
   bool breaker_open = false;
@@ -481,23 +489,20 @@ void MonitorHub::leg_loop(std::size_t i, const std::stop_token& st) {
       sock.close();
     }
     set_leg_down(i);
-    if (cfg_.breaker_enabled) {
-      if (cycle_ok) {
-        if (breaker_open) {
-          breaker_open = false;
-          mobs.breaker_closes.add();
-          emit("HUB BREAKER CLOSED party=" + std::to_string(i));
-        }
-        breaker_failures = 0;
-      } else if (!breaker_open &&
-                 ++breaker_failures >= cfg_.breaker_threshold) {
-        breaker_open = true;
-        mobs.breaker_trips.add();
-        emit("HUB BREAKER OPEN party=" + std::to_string(i));
+    if (cycle_ok) {
+      if (breaker_open) {
+        breaker_open = false;
+        mobs.breaker_closes.add();
+        emit("HUB BREAKER CLOSED party=" + std::to_string(i));
       }
-      // A failed probe cycle keeps the breaker open: fall through to
-      // another cooldown below.
+      breaker_failures = 0;
+    } else if (!breaker_open && ++breaker_failures >= kLegBreakerThreshold) {
+      breaker_open = true;
+      mobs.breaker_trips.add();
+      emit("HUB BREAKER OPEN party=" + std::to_string(i));
     }
+    // A failed probe cycle keeps the breaker open: fall through to another
+    // cooldown below.
     if (st.stop_requested()) break;
     if (breaker_open) {
       // One probe cycle per cooldown; every skipped reconnect in between

@@ -24,8 +24,9 @@
 // EstimateUpdate bodies in kPushUpdate frames — the merged estimate, not
 // checkpoints — pushed whenever the hub's revision advances, so N watchers
 // cost one recompute plus N small frames per change and *zero* traffic
-// while the streams are quiescent. Every watcher lives on one event loop
-// (hub_loop.cpp); the party legs are one blocking client thread each.
+// while the streams are quiescent. Every watcher lives on the shared
+// connection layer's loop (net/conn_loop.hpp, hub_loop.cpp); the party
+// legs are one blocking client thread each.
 #pragma once
 
 #include <chrono>
@@ -64,13 +65,11 @@ struct HubConfig {
   // Leg reconnect backoff (bounded exponential, reset on a live push).
   std::chrono::milliseconds reconnect_base{50};
   std::chrono::milliseconds reconnect_max{1000};
-  // Per-leg circuit breaker: `breaker_threshold` consecutive failed
+  // Per-leg circuit breaker (always on): five consecutive failed
   // connect/subscribe cycles trip it, an open leg stops hammering the
   // endpoint and retries one probe cycle per cooldown (the quorum math
   // already owns the missing party), a successful probe closes it. Counted
   // in the waves_monitor_hub_breaker_* families.
-  bool breaker_enabled = true;
-  int breaker_threshold = 5;
   std::chrono::milliseconds breaker_cooldown{1000};
   std::uint64_t client_id = 0;
   // Watcher fan-out listener; port 0 binds ephemeral (watch_port()).

@@ -7,7 +7,7 @@
 // Concurrency: one EventLoop thread multiplexes every connection, and a
 // small fixed worker pool runs the synopsis work (process_frame below);
 // push-drift checks are timer-wheel entries, so thousands of idle
-// subscriptions cost no threads (net/event_loop.hpp, server_loop.cpp).
+// subscriptions cost no threads (net/conn_loop.hpp, server_loop.cpp).
 // Backends are internally locked (the parties) or locked here (the totals
 // states), so an ingestion thread may keep feeding while the referee
 // queries — the model's "parties observe, referee asks" split.

@@ -53,7 +53,8 @@
 //   waves_net_loop_events_total         fd readiness events dispatched
 //   waves_net_loop_timer_fires_total    timer-wheel entries fired
 //   waves_net_loop_stalled_writes_total flushes left bytes queued (peer's
-//                                       socket full — backpressure engaged)
+//                                       socket full — backpressure engaged),
+//                                       party servers and hub watchers alike
 //   waves_net_loop_queue_depth          worker-pool jobs queued, not started
 #pragma once
 

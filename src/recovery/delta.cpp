@@ -25,7 +25,7 @@ struct Run {
 
 // Express `now` as (subsequence of base) + (appended suffix), where
 // `is_append` marks elements that cannot have existed at baseline time
-// (rank/total/position beyond the baseline's). Returns false when `now`
+// (positions beyond the baseline's). Returns false when `now`
 // does not have that shape — the caller then falls back to a full encode.
 template <typename T, typename IsAppend>
 bool build_runs(const std::vector<T>& base, const std::vector<T>& now,
@@ -80,145 +80,6 @@ bool apply_runs(const Bytes& in, std::size_t& at, const std::vector<T>& base,
                base.begin() + static_cast<std::ptrdiff_t>(i + keep));
     i += keep;
   }
-  return true;
-}
-
-// -- Det / Ts: (pos, rank) entry lists --------------------------------------
-// Ranks are strictly increasing and never reused, so rank > base.rank is an
-// exact "appended since the baseline" test (positions alone would misfile
-// repeated-timestamp items in the Ts wave).
-
-template <typename Ck>
-bool diff_rank_entries(Bytes& out, const Ck& base, const Ck& now) {
-  std::vector<Run> runs;
-  std::size_t append_from = 0;
-  if (!build_runs(
-          base.entries, now.entries,
-          [&base](const std::pair<std::uint64_t, std::uint64_t>& e) {
-            return e.second > base.rank;
-          },
-          runs, append_from)) {
-    return false;
-  }
-  put_varint(out, now.pos);
-  put_varint(out, now.rank);
-  put_varint(out, now.discarded_rank);
-  put_runs(out, runs);
-  put_varint(out, now.entries.size() - append_from);
-  std::uint64_t pp = 0, pr = 0;
-  if (append_from > 0) {
-    pp = now.entries[append_from - 1].first;
-    pr = now.entries[append_from - 1].second;
-  }
-  for (std::size_t j = append_from; j < now.entries.size(); ++j) {
-    const auto& [p, r] = now.entries[j];
-    if (p < pp || r < pr) return false;
-    put_varint(out, p - pp);
-    put_varint(out, r - pr);
-    pp = p;
-    pr = r;
-  }
-  return true;
-}
-
-template <typename Ck>
-bool apply_rank_entries(const Bytes& in, std::size_t& at, const Ck& base,
-                        Ck& out) {
-  Ck ck;
-  if (!get_varint(in, at, ck.pos) || !get_varint(in, at, ck.rank) ||
-      !get_varint(in, at, ck.discarded_rank) ||
-      !apply_runs(in, at, base.entries, ck.entries)) {
-    return false;
-  }
-  std::uint64_t appends = 0;
-  if (!get_varint(in, at, appends) || appends > in.size() - at) return false;
-  ck.entries.reserve(ck.entries.size() +
-                     std::min<std::size_t>(appends, kReserveCap));
-  std::uint64_t pp = 0, pr = 0;
-  if (!ck.entries.empty()) {
-    pp = ck.entries.back().first;
-    pr = ck.entries.back().second;
-  }
-  for (std::uint64_t j = 0; j < appends; ++j) {
-    std::uint64_t dp = 0, dr = 0;
-    if (!get_varint(in, at, dp) || !get_varint(in, at, dr)) return false;
-    pp += dp;
-    pr += dr;
-    ck.entries.emplace_back(pp, pr);
-  }
-  out = std::move(ck);
-  return true;
-}
-
-// -- Sum / TsSum: (pos, value, z) entry lists -------------------------------
-// z (running total) is strictly increasing; entries appended since the
-// baseline have z > base.total.
-
-template <typename Ck>
-bool diff_sum_entries(Bytes& out, const Ck& base, const Ck& now) {
-  std::vector<Run> runs;
-  std::size_t append_from = 0;
-  if (!build_runs(
-          base.entries, now.entries,
-          [&base](const core::SumEntryCheckpoint& e) {
-            return e.z > base.total;
-          },
-          runs, append_from)) {
-    return false;
-  }
-  put_varint(out, now.pos);
-  put_varint(out, now.total);
-  put_varint(out, now.discarded_z);
-  put_runs(out, runs);
-  put_varint(out, now.entries.size() - append_from);
-  std::uint64_t pp = 0, pz = 0;
-  if (append_from > 0) {
-    pp = now.entries[append_from - 1].pos;
-    pz = now.entries[append_from - 1].z;
-  }
-  for (std::size_t j = append_from; j < now.entries.size(); ++j) {
-    const core::SumEntryCheckpoint& e = now.entries[j];
-    if (e.pos < pp || e.z < pz) return false;
-    put_varint(out, e.pos - pp);
-    put_varint(out, e.value);
-    put_varint(out, e.z - pz);
-    pp = e.pos;
-    pz = e.z;
-  }
-  return true;
-}
-
-template <typename Ck>
-bool apply_sum_entries(const Bytes& in, std::size_t& at, const Ck& base,
-                       Ck& out) {
-  Ck ck;
-  if (!get_varint(in, at, ck.pos) || !get_varint(in, at, ck.total) ||
-      !get_varint(in, at, ck.discarded_z) ||
-      !apply_runs(in, at, base.entries, ck.entries)) {
-    return false;
-  }
-  std::uint64_t appends = 0;
-  if (!get_varint(in, at, appends) || appends > in.size() - at) return false;
-  ck.entries.reserve(ck.entries.size() +
-                     std::min<std::size_t>(appends, kReserveCap));
-  std::uint64_t pp = 0, pz = 0;
-  if (!ck.entries.empty()) {
-    pp = ck.entries.back().pos;
-    pz = ck.entries.back().z;
-  }
-  for (std::uint64_t j = 0; j < appends; ++j) {
-    std::uint64_t dp = 0, v = 0, dz = 0;
-    if (!get_varint(in, at, dp) || !get_varint(in, at, v) ||
-        !get_varint(in, at, dz)) {
-      return false;
-    }
-    pp += dp;
-    pz += dz;
-    // restore() recomputes the level from z - value (as in codec.cpp).
-    if (v > pz) return false;
-    ck.entries.push_back(core::SumEntryCheckpoint{pp, v, pz});
-  }
-  out = std::move(ck);
   return true;
 }
 
@@ -413,31 +274,6 @@ bool get_delta_impl(const Bytes& in, std::size_t& at, const Ck& base, Ck& out,
 
 }  // namespace
 
-void put_delta(Bytes& out, const core::DetWaveCheckpoint& base,
-               const core::DetWaveCheckpoint& now) {
-  put_delta_checked(out, base, now, diff_rank_entries<core::DetWaveCheckpoint>,
-                    apply_rank_entries<core::DetWaveCheckpoint>);
-}
-
-void put_delta(Bytes& out, const core::TsWaveCheckpoint& base,
-               const core::TsWaveCheckpoint& now) {
-  put_delta_checked(out, base, now, diff_rank_entries<core::TsWaveCheckpoint>,
-                    apply_rank_entries<core::TsWaveCheckpoint>);
-}
-
-void put_delta(Bytes& out, const core::SumWaveCheckpoint& base,
-               const core::SumWaveCheckpoint& now) {
-  put_delta_checked(out, base, now, diff_sum_entries<core::SumWaveCheckpoint>,
-                    apply_sum_entries<core::SumWaveCheckpoint>);
-}
-
-void put_delta(Bytes& out, const core::TsSumWaveCheckpoint& base,
-               const core::TsSumWaveCheckpoint& now) {
-  put_delta_checked(out, base, now,
-                    diff_sum_entries<core::TsSumWaveCheckpoint>,
-                    apply_sum_entries<core::TsSumWaveCheckpoint>);
-}
-
 void put_delta(Bytes& out, const core::RandWaveCheckpoint& base,
                const core::RandWaveCheckpoint& now) {
   put_delta_checked(out, base, now, diff_rand, apply_rand);
@@ -446,42 +282,6 @@ void put_delta(Bytes& out, const core::RandWaveCheckpoint& base,
 void put_delta(Bytes& out, const core::DistinctWaveCheckpoint& base,
                const core::DistinctWaveCheckpoint& now) {
   put_delta_checked(out, base, now, diff_distinct, apply_distinct);
-}
-
-void put_delta(Bytes& out, const agg::AggWaveCheckpoint& base,
-               const agg::AggWaveCheckpoint& now) {
-  // Always the full form: the window contents roll over item by item, so a
-  // runs-over-baseline diff would cost as much as the body it replaces.
-  (void)base;
-  put_varint(out, kFlagFull);
-  put_checkpoint(out, now);
-}
-
-bool get_delta(const Bytes& in, std::size_t& at,
-               const core::DetWaveCheckpoint& base,
-               core::DetWaveCheckpoint& out) {
-  return get_delta_impl(in, at, base, out,
-                        apply_rank_entries<core::DetWaveCheckpoint>);
-}
-
-bool get_delta(const Bytes& in, std::size_t& at,
-               const core::TsWaveCheckpoint& base, core::TsWaveCheckpoint& out) {
-  return get_delta_impl(in, at, base, out,
-                        apply_rank_entries<core::TsWaveCheckpoint>);
-}
-
-bool get_delta(const Bytes& in, std::size_t& at,
-               const core::SumWaveCheckpoint& base,
-               core::SumWaveCheckpoint& out) {
-  return get_delta_impl(in, at, base, out,
-                        apply_sum_entries<core::SumWaveCheckpoint>);
-}
-
-bool get_delta(const Bytes& in, std::size_t& at,
-               const core::TsSumWaveCheckpoint& base,
-               core::TsSumWaveCheckpoint& out) {
-  return get_delta_impl(in, at, base, out,
-                        apply_sum_entries<core::TsSumWaveCheckpoint>);
 }
 
 bool get_delta(const Bytes& in, std::size_t& at,
@@ -494,17 +294,6 @@ bool get_delta(const Bytes& in, std::size_t& at,
                const core::DistinctWaveCheckpoint& base,
                core::DistinctWaveCheckpoint& out) {
   return get_delta_impl(in, at, base, out, apply_distinct);
-}
-
-bool get_delta(const Bytes& in, std::size_t& at,
-               const agg::AggWaveCheckpoint& base,
-               agg::AggWaveCheckpoint& out) {
-  // The encoder only ships the full form, but accept the standard framing:
-  // a diff-form body for this type is simply unknown → reject.
-  std::uint64_t flags = 0;
-  if (!get_varint(in, at, flags) || flags != kFlagFull) return false;
-  (void)base;
-  return get_checkpoint(in, at, out);
 }
 
 // -- Party-level ------------------------------------------------------------

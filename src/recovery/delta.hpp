@@ -6,7 +6,9 @@
 // encodes the *edit* from a baseline checkpoint to the current one — the
 // survivors as (skip, keep) runs over the baseline, plus the appended
 // suffix — which in steady state is proportional to the items ingested
-// since the last query, not to the synopsis size.
+// since the last query, not to the synopsis size. Only the randomized
+// roles ship deltas (count: RandWave, distinct: DistinctWave); the totals
+// roles' states are small and always travel whole.
 //
 // Correctness is unconditional, not heuristic: every wave delta body starts
 // with a flags varint whose bit0 selects "full" (the body is a plain
@@ -24,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "agg/agg_wave.hpp"
 #include "core/checkpoint.hpp"
 #include "distributed/party.hpp"
 #include "distributed/wire.hpp"
@@ -39,46 +40,17 @@ using distributed::Bytes;
 // returns false with `out`/`at` unspecified; the party-level wrappers
 // restore the all-or-nothing contract.
 
-void put_delta(Bytes& out, const core::DetWaveCheckpoint& base,
-               const core::DetWaveCheckpoint& now);
-void put_delta(Bytes& out, const core::SumWaveCheckpoint& base,
-               const core::SumWaveCheckpoint& now);
-void put_delta(Bytes& out, const core::TsWaveCheckpoint& base,
-               const core::TsWaveCheckpoint& now);
-void put_delta(Bytes& out, const core::TsSumWaveCheckpoint& base,
-               const core::TsSumWaveCheckpoint& now);
 void put_delta(Bytes& out, const core::RandWaveCheckpoint& base,
                const core::RandWaveCheckpoint& now);
 void put_delta(Bytes& out, const core::DistinctWaveCheckpoint& base,
                const core::DistinctWaveCheckpoint& now);
-// AggWave's canonical checkpoint is the raw window contents, which turn
-// over wholesale between rounds — no append-mostly structure to diff — so
-// its delta body is always the full form. Shipping it under the delta
-// framing keeps the one checkpoint codec per role invariant.
-void put_delta(Bytes& out, const agg::AggWaveCheckpoint& base,
-               const agg::AggWaveCheckpoint& now);
 
-[[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
-                             const core::DetWaveCheckpoint& base,
-                             core::DetWaveCheckpoint& out);
-[[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
-                             const core::SumWaveCheckpoint& base,
-                             core::SumWaveCheckpoint& out);
-[[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
-                             const core::TsWaveCheckpoint& base,
-                             core::TsWaveCheckpoint& out);
-[[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
-                             const core::TsSumWaveCheckpoint& base,
-                             core::TsSumWaveCheckpoint& out);
 [[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
                              const core::RandWaveCheckpoint& base,
                              core::RandWaveCheckpoint& out);
 [[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
                              const core::DistinctWaveCheckpoint& base,
                              core::DistinctWaveCheckpoint& out);
-[[nodiscard]] bool get_delta(const Bytes& in, std::size_t& at,
-                             const agg::AggWaveCheckpoint& base,
-                             agg::AggWaveCheckpoint& out);
 
 // -- Party-level deltas -----------------------------------------------------
 // Body shipped in a v3 DeltaReply: varint cursor, varint wave count, one

@@ -203,35 +203,6 @@ TEST(AggCodec, PartyCheckpointRoundTripAndHostileInput) {
   }
 }
 
-TEST(AggCodec, DeltaIsAlwaysFullFormAndRejectsDiffFlags) {
-  agg::AggWave w(agg::AggOp::kMax, 16);
-  w.update_bulk(random_values(40, 8, -9, 9));
-  const agg::AggWaveCheckpoint base = w.checkpoint();
-  w.update_bulk(random_values(10, 9, -9, 9));
-  const agg::AggWaveCheckpoint now = w.checkpoint();
-
-  Bytes buf;
-  recovery::put_delta(buf, base, now);
-  std::size_t at = 0;
-  agg::AggWaveCheckpoint out;
-  ASSERT_TRUE(recovery::get_delta(buf, at, base, out));
-  EXPECT_EQ(at, buf.size());
-  EXPECT_EQ(out, now);
-
-  // The full-form body decodes against any baseline, even an empty one.
-  at = 0;
-  agg::AggWaveCheckpoint fresh;
-  ASSERT_TRUE(
-      recovery::get_delta(buf, at, agg::AggWaveCheckpoint{}, fresh));
-  EXPECT_EQ(fresh, now);
-
-  // A diff-form flag is unknown for this type: reject.
-  Bytes diff;
-  distributed::put_varint(diff, 0);
-  at = 0;
-  EXPECT_FALSE(recovery::get_delta(diff, at, base, out));
-}
-
 // -- TCP parity -------------------------------------------------------------
 
 TEST(AggNet, TcpQueryMatchesInProcessBitForBit) {

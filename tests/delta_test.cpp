@@ -66,70 +66,28 @@ void roundtrip_stages(Ingest&& ingest, MakeCk&& make_ck) {
   }
 }
 
-TEST(RecoveryDelta, DetWaveRoundTrip) {
-  core::DetWave w(4, 64);
-  stream::BernoulliBits gen(0.4, 11);
-  for (int i = 0; i < 300; ++i) w.update(gen.next());
-  roundtrip_stages<core::DetWaveCheckpoint>(
-      [&](int k) {
-        for (int i = 0; i < k; ++i) w.update(gen.next());
-      },
-      [&] { return w.checkpoint(); });
-}
-
-TEST(RecoveryDelta, SumWaveRoundTrip) {
-  core::SumWave w(4, 64, 50);
-  stream::UniformValues gen(0, 50, 17);
-  for (int i = 0; i < 300; ++i) w.update(gen.next());
-  roundtrip_stages<core::SumWaveCheckpoint>(
-      [&](int k) {
-        for (int i = 0; i < k; ++i) w.update(gen.next());
-      },
-      [&] { return w.checkpoint(); });
-}
-
-TEST(RecoveryDelta, TsWaveRoundTrip) {
-  core::TsWave w(4, 128, 128);
-  stream::BernoulliBits gen(0.5, 23);
-  std::uint64_t pos = 0;
-  const auto ingest = [&](int k) {
-    for (int i = 0; i < k; ++i) {
-      pos += (i % 7 == 0) ? 3 : 1;  // timestamp gaps
-      w.update(pos, gen.next());
-    }
-  };
-  ingest(300);
-  roundtrip_stages<core::TsWaveCheckpoint>(ingest,
-                                           [&] { return w.checkpoint(); });
-}
-
-TEST(RecoveryDelta, TsSumWaveRoundTrip) {
-  core::TsSumWave w(4, 128, 128, 50);
-  stream::UniformValues gen(0, 50, 29);
-  std::uint64_t pos = 0;
-  const auto ingest = [&](int k) {
-    for (int i = 0; i < k; ++i) {
-      pos += (i % 5 == 0) ? 4 : 1;
-      w.update(pos, gen.next());
-    }
-  };
-  ingest(300);
-  roundtrip_stages<core::TsSumWaveCheckpoint>(ingest,
-                                              [&] { return w.checkpoint(); });
-}
+// A RandWave plus its feed, for the wave-level tests below.
+struct RandFixture {
+  static constexpr std::uint64_t kWindow = 256;
+  explicit RandFixture(std::uint64_t seed)
+      : field(util::floor_log2(util::next_pow2_at_least(2 * kWindow))),
+        coins(99),
+        wave({.eps = 0.3, .window = kWindow, .c = 8}, field, coins),
+        gen(0.5, seed) {}
+  void ingest(int k) {
+    for (int i = 0; i < k; ++i) wave.update(gen.next());
+  }
+  gf2::Field field;
+  gf2::SharedRandomness coins;
+  core::RandWave wave;
+  stream::BernoulliBits gen;
+};
 
 TEST(RecoveryDelta, RandWaveRoundTrip) {
-  const std::uint64_t window = 256;
-  const gf2::Field f(util::floor_log2(util::next_pow2_at_least(2 * window)));
-  gf2::SharedRandomness coins(99);
-  core::RandWave w({.eps = 0.3, .window = window, .c = 8}, f, coins);
-  stream::BernoulliBits gen(0.5, 3);
-  for (int i = 0; i < 1500; ++i) w.update(gen.next());
-  roundtrip_stages<core::RandWaveCheckpoint>(
-      [&](int k) {
-        for (int i = 0; i < k; ++i) w.update(gen.next());
-      },
-      [&] { return w.checkpoint(); });
+  RandFixture r(3);
+  r.ingest(1500);
+  roundtrip_stages<core::RandWaveCheckpoint>([&](int k) { r.ingest(k); },
+                                             [&] { return r.wave.checkpoint(); });
 }
 
 TEST(RecoveryDelta, DistinctWaveRoundTrip) {
@@ -151,26 +109,24 @@ TEST(RecoveryDelta, FullFormLegDecodesAgainstAnyBaseline) {
   // A body whose flags select "full" must decode regardless of what
   // baseline the decoder holds — this is the self-check fallback's escape
   // hatch, so it has to work even against a garbage baseline.
-  core::DetWave a(4, 64), b(4, 64);
-  stream::BernoulliBits gen(0.3, 41);
-  for (int i = 0; i < 400; ++i) a.update(gen.next());
-  for (int i = 0; i < 100; ++i) b.update(gen.next());
-  const auto now = a.checkpoint();
+  RandFixture a(41), b(43);
+  a.ingest(1500);
+  b.ingest(300);
+  const auto now = a.wave.checkpoint();
   Bytes buf;
   put_varint(buf, 1);  // kFlagFull
   put_checkpoint(buf, now);
-  core::DetWaveCheckpoint out;
+  core::RandWaveCheckpoint out;
   std::size_t at = 0;
-  ASSERT_TRUE(get_delta(buf, at, b.checkpoint(), out));
+  ASSERT_TRUE(get_delta(buf, at, b.wave.checkpoint(), out));
   EXPECT_EQ(at, buf.size());
   EXPECT_EQ(out, now);
 }
 
 TEST(RecoveryDelta, UnchangedStateGivesTinyDelta) {
-  core::DetWave w(4, 64);
-  stream::BernoulliBits gen(0.3, 5);
-  for (int i = 0; i < 400; ++i) w.update(gen.next());
-  const auto ck = w.checkpoint();
+  RandFixture r(5);
+  r.ingest(1500);
+  const auto ck = r.wave.checkpoint();
 
   Bytes full;
   put_checkpoint(full, ck);
@@ -178,7 +134,7 @@ TEST(RecoveryDelta, UnchangedStateGivesTinyDelta) {
   put_delta(delta, ck, ck);
   EXPECT_LT(delta.size(), full.size());
 
-  core::DetWaveCheckpoint out;
+  core::RandWaveCheckpoint out;
   std::size_t at = 0;
   ASSERT_TRUE(get_delta(delta, at, ck, out));
   EXPECT_EQ(out, ck);

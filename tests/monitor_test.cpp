@@ -7,11 +7,6 @@
 // Monitor so the TSan CI leg (-R "...|Monitor") picks them up.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -25,6 +20,7 @@
 #include "distributed/party.hpp"
 #include "distributed/referee.hpp"
 #include "gf2/shared_randomness.hpp"
+#include "listeners.hpp"
 #include "monitor/hub.hpp"
 #include "monitor/slack.hpp"
 #include "net/client.hpp"
@@ -981,53 +977,6 @@ TEST(MonitorWatch, WatcherCapRejectsWithTypedOverload) {
   hub.stop();
 }
 
-/// Shrink the kernel send buffer of every watcher socket the hub accepts
-/// from now on: sockets accepted on Linux inherit SO_SNDBUF from their
-/// listener, which is found among this process's fds by its bound port.
-/// The stand-in for a congested link — with the default auto-tuned buffer
-/// the kernel absorbs megabytes of unread pushes before a write stalls.
-void shrink_hub_send_buffers(std::uint16_t watch_port) {
-  int listener = -1;
-  for (int fd = 0; fd < 4096 && listener < 0; ++fd) {
-    int accepting = 0;
-    socklen_t len = sizeof accepting;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &accepting, &len) != 0 ||
-        accepting == 0) {
-      continue;
-    }
-    sockaddr_in addr{};
-    socklen_t alen = sizeof addr;
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen) == 0 &&
-        addr.sin_family == AF_INET && ntohs(addr.sin_port) == watch_port) {
-      listener = fd;
-    }
-  }
-  ASSERT_GE(listener, 0) << "hub listener not found";
-  int one = 1;  // the kernel clamps this to its floor (a few KB)
-  ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_SNDBUF, &one, sizeof one),
-            0);
-}
-
-/// Connect with a minimal kernel receive buffer (set before connect so the
-/// advertised window stays tiny). Together with shrink_hub_send_buffers this
-/// caps the unread bytes a stalled watcher can absorb at a few KB, so the
-/// write budget trips after a few dozen pushes instead of megabytes.
-net::Socket connect_tiny_rcvbuf(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr),
-            0);
-  ::fcntl(fd, F_SETFL, O_NONBLOCK);
-  return net::Socket(fd);
-}
-
 /// Hello + subscribe on an already-connected watcher socket.
 void watcher_subscribe(net::Socket& sock, net::PartyRole role) {
   ASSERT_TRUE(net::write_frame(sock, net::MsgType::kHello,
@@ -1053,13 +1002,14 @@ TEST(MonitorWatch, SlowWatcherEvictedHealthyWatcherUnaffected) {
   cfg.watcher_write_budget = std::chrono::milliseconds(50);
   MonitorHub hub(cfg);
   ASSERT_TRUE(hub.start());
-  ASSERT_NO_FATAL_FAILURE(shrink_hub_send_buffers(hub.watch_port()));
+  ASSERT_NO_FATAL_FAILURE(
+      net::edge::shrink_listener_send_buffer(hub.watch_port()));
   (void)wait_until(hub, [](const HubEstimate& e) {
     return e.status == distributed::QueryStatus::kOk;
   });
 
   // The slow watcher subscribes and then never reads a byte.
-  net::Socket slow = connect_tiny_rcvbuf(hub.watch_port());
+  net::Socket slow = net::edge::connect_tiny_rcvbuf(hub.watch_port());
   watcher_subscribe(slow, net::PartyRole::kSum);
   // The healthy watcher keeps draining its pushes throughout.
   net::Socket healthy = net::tcp_connect("127.0.0.1", hub.watch_port(), soon());
@@ -1116,10 +1066,17 @@ TEST(MonitorWatch, SlowWatcherEvictedHealthyWatcherUnaffected) {
   for (int i = 0; i < 500 && !closed; ++i) {
     const net::ReadStatus rs = net::read_frame(slow, f, shortly());
     if (rs != net::ReadStatus::kOk) {
+      // Eviction closes at a frame boundary or just closes: a malformed
+      // header here would be an Err spliced into a half-sent push.
+      EXPECT_NE(rs, net::ReadStatus::kMalformed);
       closed = true;
       break;
     }
-    if (f.type == net::MsgType::kErr) {
+    if (f.type == net::MsgType::kPushUpdate) {
+      net::EstimateUpdate up;
+      ASSERT_TRUE(net::EstimateUpdate::decode(f.payload, up));
+    } else {
+      ASSERT_EQ(f.type, net::MsgType::kErr);
       net::ErrReply err;
       ASSERT_TRUE(net::ErrReply::decode(f.payload, err));
       EXPECT_EQ(err.code, net::ErrCode::kOverloaded);

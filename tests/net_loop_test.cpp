@@ -1,13 +1,17 @@
 // Event-loop core tests: EventLoop timers/fds/post (both backends — epoll
 // and the poll(2) fallback), the WorkerPool, the served replies checked
 // byte-for-byte against the in-process party they answer for, a live
-// session, and the slow-loris deadline behavior. Suite names start with
-// NetLoop so the TSan CI leg's -R "...|Net" regex picks every test up.
+// session, and the connection layer's deadlines: slow loris (against the
+// party server and the hub's watcher port), write stall, and the
+// frame-boundary typed close. Suite names start with NetLoop/NetConnLoop
+// so the TSan CI leg's -R "...|Net" regex picks every test up.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -15,6 +19,8 @@
 #include <vector>
 
 #include "distributed/party.hpp"
+#include "listeners.hpp"
+#include "net/conn_loop.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
@@ -25,6 +31,12 @@ namespace waves::net {
 namespace {
 
 using namespace std::chrono_literals;
+using edge::connect_tiny_rcvbuf;
+using edge::EdgeListener;
+using edge::kBothListeners;
+using edge::listener_name;
+using edge::ListenerKind;
+using edge::shrink_listener_send_buffer;
 
 Deadline soon() { return deadline_in(std::chrono::milliseconds(2000)); }
 
@@ -380,66 +392,228 @@ TEST(NetLoopServer, HelloQuerySubscribeAllServe) {
 }
 
 // ---------------------------------------------------------------------------
-// Slow loris: the loop must expire stalled partial frames via the
-// deadline wheel without stalling any other session.
+// Slow loris: the connection layer must expire stalled partial frames via
+// the deadline wheel without stalling any other session — on the party
+// server and on the hub's watcher port alike.
 
 TEST(NetLoopSlowLoris, StalledPartialHeaderExpiresOthersUnaffected) {
-  distributed::CountParty party(params(), 3, 9);
-  for (int i = 0; i < 1000; ++i) party.observe(true);
-  ServerConfig cfg;
-  cfg.io_deadline = std::chrono::milliseconds(200);
-  PartyServer server(cfg, &party);
-  ASSERT_TRUE(server.start());
+  for (const ListenerKind kind : kBothListeners) {
+    SCOPED_TRACE(listener_name(kind));
+    const EdgeListener listener(kind, std::chrono::milliseconds(200));
+    ASSERT_TRUE(listener.ok());
 
-  // The attacker: three header bytes, then silence.
-  Socket loris = tcp_connect("127.0.0.1", server.port(), soon());
-  ASSERT_TRUE(loris.valid());
-  const auto header = put_header(MsgType::kHello, 0);
-  ASSERT_TRUE(loris.send_all(header.data(), 3, soon()));
+    // The attacker: three header bytes, then silence.
+    Socket loris = tcp_connect("127.0.0.1", listener.port(), soon());
+    ASSERT_TRUE(loris.valid());
+    const auto header = put_header(MsgType::kHello, 0);
+    ASSERT_TRUE(loris.send_all(header.data(), 3, soon()));
 
-  // Healthy sessions keep being served the whole time the loris stalls.
-  RawConn healthy = RawConn::open(server.port());
-  Hello hello;
-  EXPECT_EQ(healthy.exchange(MsgType::kHello, hello.encode()).type,
-            MsgType::kHelloAck);
+    // Healthy sessions keep being served the whole time the loris stalls.
+    Socket healthy = tcp_connect("127.0.0.1", listener.port(), soon());
+    ASSERT_TRUE(healthy.valid());
+    const auto until = Clock::now() + 600ms;
+    int served = 0;
+    while (Clock::now() < until) {
+      ASSERT_TRUE(listener.healthy_exchange(
+          healthy, static_cast<std::uint64_t>(served + 1)));
+      ++served;
+      std::this_thread::sleep_for(10ms);
+    }
+    EXPECT_GT(served, 10);
+
+    // By now the loris is far past io_deadline: the listener must have
+    // closed it (EOF on our side), not left the connection parked forever.
+    char byte = 0;
+    EXPECT_EQ(loris.recv_exact(&byte, 1, soon()), IoResult::kClosed);
+  }
+}
+
+TEST(NetLoopSlowLoris, StalledPayloadExpiresToo) {
+  for (const ListenerKind kind : kBothListeners) {
+    SCOPED_TRACE(listener_name(kind));
+    const EdgeListener listener(kind, std::chrono::milliseconds(150));
+    ASSERT_TRUE(listener.ok());
+
+    // Full header promising 100 payload bytes; send only 10 and stall.
+    Socket loris = tcp_connect("127.0.0.1", listener.port(), soon());
+    ASSERT_TRUE(loris.valid());
+    const auto header = put_header(MsgType::kHello, 100);
+    ASSERT_TRUE(loris.send_all(header.data(), header.size(), soon()));
+    const char partial[10] = {};
+    ASSERT_TRUE(loris.send_all(partial, sizeof partial, soon()));
+
+    char byte = 0;
+    EXPECT_EQ(loris.recv_exact(&byte, 1, soon()), IoResult::kClosed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Write stall: a peer that pipelines requests and never reads is closed
+// once its reply queue stays stalled past io_deadline, while another
+// session keeps being served.
+
+TEST(NetLoopServer, WriteStalledPeerClosedOthersUnaffected) {
+  const EdgeListener listener(ListenerKind::kPartyServer,
+                              std::chrono::milliseconds(200));
+  ASSERT_TRUE(listener.ok());
+  ASSERT_NO_FATAL_FAILURE(shrink_listener_send_buffer(listener.port()));
+
+  Socket stalled = connect_tiny_rcvbuf(listener.port());
+  ASSERT_TRUE(stalled.valid());
   SnapshotRequest req;
   req.role = PartyRole::kCount;
-  req.n = 1024;
+  req.n = EdgeListener::kWindow;
+  constexpr int kPipelined = 2000;  // ~MBs of replies against a few KB
+  Bytes burst;
+  for (int i = 0; i < kPipelined; ++i) {
+    req.request_id = static_cast<std::uint64_t>(i + 1);
+    const Bytes payload = req.encode();
+    const auto header = put_header(MsgType::kSnapshotRequest,
+                                   static_cast<std::uint32_t>(payload.size()));
+    burst.insert(burst.end(), header.begin(), header.end());
+    burst.insert(burst.end(), payload.begin(), payload.end());
+  }
+  ASSERT_TRUE(stalled.send_all(burst.data(), burst.size(), soon()));
+
+  // The healthy session is served throughout, well past io_deadline.
+  Socket healthy = tcp_connect("127.0.0.1", listener.port(), soon());
+  ASSERT_TRUE(healthy.valid());
   const auto until = Clock::now() + 600ms;
   int served = 0;
   while (Clock::now() < until) {
-    req.request_id = static_cast<std::uint64_t>(served + 1);
-    ASSERT_EQ(healthy.exchange(MsgType::kSnapshotRequest, req.encode()).type,
-              MsgType::kCountReply);
+    ASSERT_TRUE(listener.healthy_exchange(
+        healthy, static_cast<std::uint64_t>(served + 1)));
     ++served;
     std::this_thread::sleep_for(10ms);
   }
   EXPECT_GT(served, 10);
 
-  // By now the loris is far past io_deadline: the server must have closed
-  // it (EOF on our side), not left the connection parked forever.
-  char byte = 0;
-  const IoResult r = loris.recv_exact(&byte, 1, soon());
-  EXPECT_EQ(r, IoResult::kClosed);
+  // Reading now drains what the kernel already held and then hits EOF:
+  // the server gave up on the stalled queue instead of answering all
+  // kPipelined requests (or holding the connection open forever).
+  int replies = 0;
+  ReadStatus rs = ReadStatus::kOk;
+  Frame f;
+  while ((rs = read_frame(stalled, f, soon())) == ReadStatus::kOk) {
+    EXPECT_EQ(f.type, MsgType::kCountReply);
+    ++replies;
+  }
+  EXPECT_EQ(rs, ReadStatus::kClosed);
+  EXPECT_LT(replies, kPipelined);
 }
 
-TEST(NetLoopSlowLoris, StalledPayloadExpiresToo) {
-  distributed::CountParty party(params(), 3, 9);
-  ServerConfig cfg;
-  cfg.io_deadline = std::chrono::milliseconds(150);
-  PartyServer server(cfg, &party);
-  ASSERT_TRUE(server.start());
+// ---------------------------------------------------------------------------
+// Typed close at frame boundaries only: a peer that reads part of a frame
+// and stops is evicted without a single foreign byte spliced into the
+// half-sent frame — everything it receives is a prefix of the whole frames
+// queued for it, followed by EOF. The test holds the loop thread while the
+// peer empties the socket, so the eviction runs with a frame half sent
+// *and* send-buffer room free: exactly when a stray Err would land.
+//
+// EvictingLoop answers Hello with `payloads` as kPushUpdate frames; any
+// later frame queues one more that overflows the byte cap, and the stall
+// evicts with a typed close — the hub's overflow path.
+struct EvictingLoop final : ConnLoop {
+  EvictingLoop(Listener& l, const ConnPolicy& p, std::vector<Bytes> frames)
+      : ConnLoop(l, p), payloads(std::move(frames)) {}
+  ~EvictingLoop() override { stop(); }
 
-  // Full header promising 100 payload bytes; send only 10 and stall.
-  Socket loris = tcp_connect("127.0.0.1", server.port(), soon());
-  ASSERT_TRUE(loris.valid());
-  const auto header = put_header(MsgType::kHello, 100);
-  ASSERT_TRUE(loris.send_all(header.data(), header.size(), soon()));
-  const char partial[10] = {};
-  ASSERT_TRUE(loris.send_all(partial, sizeof partial, soon()));
+  void on_frame(const ConnPtr& c, Frame f) override {
+    if (f.type == MsgType::kHello) {
+      for (const Bytes& p : payloads) send(c, MsgType::kPushUpdate, p);
+    } else {
+      send(c, MsgType::kPushUpdate, Bytes(2 * payloads.front().size(), 9));
+    }
+  }
+  void on_read(const ConnPtr& c) override { flush(c); }
+  void on_stall(const ConnPtr& c) override {
+    stalls.fetch_add(1);
+    close_typed(c, ErrReply{0, ErrCode::kOverloaded, "evicted"});
+  }
 
-  char byte = 0;
-  EXPECT_EQ(loris.recv_exact(&byte, 1, soon()), IoResult::kClosed);
+  std::vector<Bytes> payloads;
+  std::atomic<int> stalls{0};
+};
+
+TEST(NetConnLoop, StallCloseNeverSplicesIntoAHalfSentFrame) {
+  Listener listener;
+  ASSERT_TRUE(listener.listen_on("127.0.0.1", 0));
+  int one = 1;  // accepted sockets inherit the kernel's floor
+  ASSERT_EQ(::setsockopt(listener.fd(), SOL_SOCKET, SO_SNDBUF, &one,
+                         sizeof one),
+            0);
+
+  // Three big frames, each payload a distinct byte value: far more than
+  // the kernel buffers, so the first is mid-send when the peer stops.
+  constexpr std::size_t kPayload = std::size_t{256} << 10;
+  Bytes expected;
+  std::vector<Bytes> payloads;
+  for (std::uint8_t k = 1; k <= 3; ++k) {
+    payloads.emplace_back(kPayload, k);
+    const auto header = put_header(MsgType::kPushUpdate,
+                                   static_cast<std::uint32_t>(kPayload));
+    expected.insert(expected.end(), header.begin(), header.end());
+    expected.insert(expected.end(), payloads.back().begin(),
+                    payloads.back().end());
+  }
+
+  std::atomic<bool> held{false};  // outlive the loop that reads them
+  std::atomic<bool> release{false};
+  ConnPolicy policy;
+  policy.max_queue_bytes = 4 * kPayload;
+  EvictingLoop conns(listener, policy, payloads);
+  ASSERT_TRUE(conns.start());
+
+  Socket peer = connect_tiny_rcvbuf(listener.port());
+  ASSERT_TRUE(peer.valid());
+  ASSERT_TRUE(write_frame(peer, MsgType::kHello, Hello{1}.encode(), soon()));
+  Bytes got(100);  // part of the first frame
+  ASSERT_EQ(peer.recv_exact(got.data(), got.size(), soon()), IoResult::kOk);
+
+  // Hold the loop thread; meanwhile empty the socket (the server's send
+  // buffer drains into ours) and send the evicting frame.
+  conns.loop().post([&] {
+    held.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+  });
+  conns.loop().wake();
+  while (!held.load()) std::this_thread::sleep_for(1ms);
+  std::uint8_t buf[4096];
+  for (int idle = 0; idle < 20;) {  // ~20 ms without new bytes
+    const ssize_t n = ::recv(peer.fd(), buf, sizeof buf, 0);
+    if (n > 0) {
+      got.insert(got.end(), buf, buf + n);
+      idle = 0;
+    } else {
+      ++idle;
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  const bool sent =
+      write_frame(peer, MsgType::kUnsubscribe, Bytes{0}, soon());
+  std::this_thread::sleep_for(20ms);
+  release.store(true);
+  ASSERT_TRUE(sent);
+
+  const auto give_up = Clock::now() + 2s;
+  while (conns.live() > 0 && Clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(conns.stalls.load(), 1);
+  ASSERT_EQ(conns.live(), 0u);
+
+  while (true) {  // drain to EOF
+    ASSERT_TRUE(peer.wait_readable(soon()));
+    const ssize_t n = ::recv(peer.fd(), buf, sizeof buf, 0);
+    if (n == 0) break;
+    if (n < 0 && (errno == EAGAIN || errno == EINTR)) continue;
+    ASSERT_GT(n, 0);
+    got.insert(got.end(), buf, buf + n);
+  }
+  ASSERT_LT(got.size(), kHeaderSize + kPayload);  // evicted mid-frame
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
+      << "bytes after the half-sent frame's prefix are not its own";
+  conns.stop();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "distributed/party.hpp"
 #include "distributed/referee.hpp"
 #include "gf2/shared_randomness.hpp"
+#include "listeners.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
@@ -547,32 +548,33 @@ std::vector<util::PackedBitStream> test_bit_streams() {
 }
 
 TEST(NetServer, MalformedFrameGetsTypedErrorThenClose) {
-  distributed::CountParty party(count_params(), kInstances, kSeed);
-  PartyServer server(ServerConfig{}, &party);
-  ASSERT_TRUE(server.start());
+  // A hostile/broken peer sends garbage: the listener — a party server or
+  // a hub's watcher port — must answer with a typed Err frame and drop the
+  // connection, never hang or crash.
+  for (const edge::ListenerKind kind : edge::kBothListeners) {
+    SCOPED_TRACE(edge::listener_name(kind));
+    const edge::EdgeListener listener(kind, std::chrono::milliseconds(2000));
+    ASSERT_TRUE(listener.ok());
 
-  // A hostile/broken peer sends garbage: the server must answer with a
-  // typed Err frame and drop the connection, never hang or crash.
-  Socket sock = tcp_connect("127.0.0.1", server.port(), soon());
-  ASSERT_TRUE(sock.valid());
-  std::uint8_t junk[32];
-  std::memset(junk, 0x77, sizeof junk);
-  ASSERT_TRUE(sock.send_all(junk, sizeof junk, soon()));
-  Frame f;
-  ASSERT_EQ(read_frame(sock, f, soon()), ReadStatus::kOk);
-  EXPECT_EQ(f.type, MsgType::kErr);
-  ErrReply err;
-  ASSERT_TRUE(ErrReply::decode(f.payload, err));
-  EXPECT_EQ(err.code, ErrCode::kBadRequest);
-  // Connection is closed after the error.
-  EXPECT_EQ(read_frame(sock, f, soon()), ReadStatus::kClosed);
+    Socket sock = tcp_connect("127.0.0.1", listener.port(), soon());
+    ASSERT_TRUE(sock.valid());
+    std::uint8_t junk[32];
+    std::memset(junk, 0x77, sizeof junk);
+    ASSERT_TRUE(sock.send_all(junk, sizeof junk, soon()));
+    Frame f;
+    ASSERT_EQ(read_frame(sock, f, soon()), ReadStatus::kOk);
+    EXPECT_EQ(f.type, MsgType::kErr);
+    ErrReply err;
+    ASSERT_TRUE(ErrReply::decode(f.payload, err));
+    EXPECT_EQ(err.code, ErrCode::kBadRequest);
+    // Connection is closed after the error.
+    EXPECT_EQ(read_frame(sock, f, soon()), ReadStatus::kClosed);
 
-  // The server still answers a healthy client afterwards.
-  RefereeClient client({{"127.0.0.1", server.port()}});
-  const Fetch fetch = client.fetch(0, PartyRole::kCount, kWindow);
-  EXPECT_TRUE(fetch.ok());
-  EXPECT_EQ(fetch.count_snapshots.size(),
-            static_cast<std::size_t>(kInstances));
+    // The listener still answers a healthy client afterwards.
+    Socket healthy = tcp_connect("127.0.0.1", listener.port(), soon());
+    ASSERT_TRUE(healthy.valid());
+    EXPECT_TRUE(listener.healthy_exchange(healthy, 1));
+  }
 }
 
 TEST(NetServer, WrongRoleRequestGetsTypedError) {
