@@ -41,6 +41,9 @@ struct DistinctPartyCheckpoint {
 /// Scenario-3 party for Union Counting (randomized waves).
 class CountParty {
  public:
+  using Params = core::RandWave::Params;
+  using Snapshot = core::RandWaveSnapshot;
+
   CountParty(const core::RandWave::Params& params, int instances,
              std::uint64_t shared_seed);
 
@@ -104,6 +107,9 @@ class CountParty {
 /// Distinct-values party (Sec. 5).
 class DistinctParty {
  public:
+  using Params = core::DistinctWave::Params;
+  using Snapshot = core::DistinctSnapshot;
+
   DistinctParty(const core::DistinctWave::Params& params, int instances,
                 std::uint64_t shared_seed);
 

@@ -118,53 +118,66 @@ core::Estimate combine_median(
   return core::Estimate{core::median(std::move(per_instance)), false, n};
 }
 
+// The paper's bit count for one party's snapshot message (Sec. 3.4, 5).
+double paper_bits_of(const core::RandWaveSnapshot& s, const CountParty& p) {
+  return paper_bits(s, p.instance(0).top_level());
+}
+double paper_bits_of(const core::DistinctSnapshot& s, const DistinctParty& p) {
+  const int top = p.instance(0).top_level();
+  return paper_bits(s, top, top);
+}
+
 }  // namespace
 
-InProcessCountSource::InProcessCountSource(
-    std::span<const CountParty* const> parties, bool via_wire)
+template <class Party>
+InProcessSource<Party>::InProcessSource(std::span<const Party* const> parties,
+                                        bool via_wire)
     : parties_(parties), via_wire_(via_wire) {
   assert(!parties_.empty());
-  for (const CountParty* p : parties_) {
+  for (const Party* p : parties_) {
     assert(p->instances() == parties_.front()->instances());
     (void)p;
   }
 }
 
-std::size_t InProcessCountSource::party_count() const {
+template <class Party>
+std::size_t InProcessSource<Party>::party_count() const {
   return parties_.size();
 }
 
-int InProcessCountSource::instances() const {
+template <class Party>
+int InProcessSource<Party>::instances() const {
   return parties_.front()->instances();
 }
 
-const gf2::ExpHash& InProcessCountSource::hash(int instance) const {
+template <class Party>
+const gf2::ExpHash& InProcessSource<Party>::hash(int instance) const {
   return parties_.front()->instance(instance).hash();
 }
 
-const char* InProcessCountSource::transport() const {
+template <class Party>
+const char* InProcessSource<Party>::transport() const {
   return via_wire_ ? "wire" : "direct";
 }
 
-std::vector<std::vector<core::RandWaveSnapshot>>
-InProcessCountSource::collect(std::uint64_t n, std::vector<std::size_t>&,
-                              WireStats* stats, CollectStats& info) {
-  std::vector<std::vector<core::RandWaveSnapshot>> by_party;
+template <class Party>
+std::vector<std::vector<typename Party::Snapshot>>
+InProcessSource<Party>::collect(std::uint64_t n, std::vector<std::size_t>&,
+                                WireStats* stats, CollectStats& info) {
+  std::vector<std::vector<Snapshot>> by_party;
   by_party.reserve(parties_.size());
-  for (const CountParty* p : parties_) {
+  for (const Party* p : parties_) {
     auto snaps = p->snapshots(n);
     if (!via_wire_) {
       for (const auto& s : snaps) {
         ++info.messages;
         const std::uint64_t b = wire_bytes(s);
         info.bytes += b;
-        if (stats != nullptr) {
-          stats->add(b, paper_bits(s, p->instance(0).top_level()));
-        }
+        if (stats != nullptr) stats->add(b, paper_bits_of(s, *p));
       }
       by_party.push_back(std::move(snaps));
     } else {
-      std::vector<core::RandWaveSnapshot> decoded(snaps.size());
+      std::vector<Snapshot> decoded(snaps.size());
       for (std::size_t i = 0; i < snaps.size(); ++i) {
         const Bytes enc = encode(snaps[i]);
         ++info.messages;
@@ -182,68 +195,8 @@ InProcessCountSource::collect(std::uint64_t n, std::vector<std::size_t>&,
   return by_party;
 }
 
-InProcessDistinctSource::InProcessDistinctSource(
-    std::span<const DistinctParty* const> parties, bool via_wire)
-    : parties_(parties), via_wire_(via_wire) {
-  assert(!parties_.empty());
-  for (const DistinctParty* p : parties_) {
-    assert(p->instances() == parties_.front()->instances());
-    (void)p;
-  }
-}
-
-std::size_t InProcessDistinctSource::party_count() const {
-  return parties_.size();
-}
-
-int InProcessDistinctSource::instances() const {
-  return parties_.front()->instances();
-}
-
-const gf2::ExpHash& InProcessDistinctSource::hash(int instance) const {
-  return parties_.front()->instance(instance).hash();
-}
-
-const char* InProcessDistinctSource::transport() const {
-  return via_wire_ ? "wire" : "direct";
-}
-
-std::vector<std::vector<core::DistinctSnapshot>>
-InProcessDistinctSource::collect(std::uint64_t n, std::vector<std::size_t>&,
-                                 WireStats* stats, CollectStats& info) {
-  std::vector<std::vector<core::DistinctSnapshot>> by_party;
-  by_party.reserve(parties_.size());
-  for (const DistinctParty* p : parties_) {
-    auto snaps = p->snapshots(n);
-    if (!via_wire_) {
-      for (const auto& s : snaps) {
-        ++info.messages;
-        const std::uint64_t b = wire_bytes(s);
-        info.bytes += b;
-        if (stats != nullptr) {
-          stats->add(b, paper_bits(s, p->instance(0).top_level(),
-                                   p->instance(0).top_level()));
-        }
-      }
-      by_party.push_back(std::move(snaps));
-    } else {
-      std::vector<core::DistinctSnapshot> decoded(snaps.size());
-      for (std::size_t i = 0; i < snaps.size(); ++i) {
-        const Bytes enc = encode(snaps[i]);
-        ++info.messages;
-        info.bytes += enc.size();
-        if (stats != nullptr) {
-          stats->add(enc.size(), static_cast<double>(enc.size()) * 8.0);
-        }
-        const bool ok = decode(enc, decoded[i]);
-        if (!ok) ++info.decode_failures;
-        assert(ok && "wire round-trip must succeed");
-      }
-      by_party.push_back(std::move(decoded));
-    }
-  }
-  return by_party;
-}
+template class InProcessSource<CountParty>;
+template class InProcessSource<DistinctParty>;
 
 QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
                         WireStats* stats) {

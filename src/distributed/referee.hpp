@@ -58,11 +58,15 @@ struct CollectStats {
   std::uint64_t decode_failures = 0;
 };
 
-/// Supplies one referee round's snapshots for Union Counting. party_count
-/// and instances are fixed per deployment; collect() may fail per party.
-class CountSnapshotSource {
+/// Supplies one referee round's snapshots: Union Counting
+/// (CountSnapshotSource) or distinct values (DistinctSnapshotSource).
+/// party_count and instances are fixed per deployment; collect() may fail
+/// per party.
+template <class SnapshotT>
+class SnapshotSource {
  public:
-  virtual ~CountSnapshotSource() = default;
+  using Snapshot = SnapshotT;
+  virtual ~SnapshotSource() = default;
   [[nodiscard]] virtual std::size_t party_count() const = 0;
   [[nodiscard]] virtual int instances() const = 0;
   /// The shared hash of instance i (identical at every party by stored
@@ -74,60 +78,40 @@ class CountSnapshotSource {
   /// A party that cannot answer yields an empty vector and its index in
   /// `missing`. `stats` (optional) gets per-message WireStats accounting in
   /// the source's native encoding.
-  virtual std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  virtual std::vector<std::vector<Snapshot>> collect(
       std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
       CollectStats& info) = 0;
 };
 
-/// Same contract for distinct values.
-class DistinctSnapshotSource {
- public:
-  virtual ~DistinctSnapshotSource() = default;
-  [[nodiscard]] virtual std::size_t party_count() const = 0;
-  [[nodiscard]] virtual int instances() const = 0;
-  [[nodiscard]] virtual const gf2::ExpHash& hash(int instance) const = 0;
-  [[nodiscard]] virtual const char* transport() const = 0;
-  virtual std::vector<std::vector<core::DistinctSnapshot>> collect(
-      std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
-      CollectStats& info) = 0;
-};
+using CountSnapshotSource = SnapshotSource<core::RandWaveSnapshot>;
+using DistinctSnapshotSource = SnapshotSource<core::DistinctSnapshot>;
 
-/// In-process sources over live parties: `via_wire` routes every snapshot
-/// through the byte codec (encode party-side, decode referee-side) so the
-/// real message sizes are measured; round-trips are exact either way.
-class InProcessCountSource final : public CountSnapshotSource {
+/// In-process source over live parties (InProcessCountSource,
+/// InProcessDistinctSource): `via_wire` routes every snapshot through the
+/// byte codec (encode party-side, decode referee-side) so the real message
+/// sizes are measured; round-trips are exact either way.
+template <class Party>
+class InProcessSource final : public SnapshotSource<typename Party::Snapshot> {
  public:
-  InProcessCountSource(std::span<const CountParty* const> parties,
-                       bool via_wire);
+  using Snapshot = typename Party::Snapshot;
+  InProcessSource(std::span<const Party* const> parties, bool via_wire);
   [[nodiscard]] std::size_t party_count() const override;
   [[nodiscard]] int instances() const override;
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
   [[nodiscard]] const char* transport() const override;
-  std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  std::vector<std::vector<Snapshot>> collect(
       std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
       CollectStats& info) override;
 
  private:
-  std::span<const CountParty* const> parties_;
+  std::span<const Party* const> parties_;
   bool via_wire_;
 };
 
-class InProcessDistinctSource final : public DistinctSnapshotSource {
- public:
-  InProcessDistinctSource(std::span<const DistinctParty* const> parties,
-                          bool via_wire);
-  [[nodiscard]] std::size_t party_count() const override;
-  [[nodiscard]] int instances() const override;
-  [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
-  [[nodiscard]] const char* transport() const override;
-  std::vector<std::vector<core::DistinctSnapshot>> collect(
-      std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
-      CollectStats& info) override;
-
- private:
-  std::span<const DistinctParty* const> parties_;
-  bool via_wire_;
-};
+extern template class InProcessSource<CountParty>;
+extern template class InProcessSource<DistinctParty>;
+using InProcessCountSource = InProcessSource<CountParty>;
+using InProcessDistinctSource = InProcessSource<DistinctParty>;
 
 /// Union Counting / distinct values from any snapshot source. Fails closed
 /// (QueryStatus::kFailed) when any party is missing. All transports produce

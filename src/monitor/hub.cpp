@@ -7,8 +7,6 @@
 
 #include "distributed/wire.hpp"
 #include "obs/monitor_obs.hpp"
-#include "recovery/checkpoint.hpp"
-#include "recovery/delta.hpp"
 
 namespace waves::monitor {
 
@@ -20,101 +18,60 @@ namespace {
 // cycles trip a leg open (see HubConfig::breaker_cooldown).
 constexpr int kLegBreakerThreshold = 5;
 
-}  // namespace
-
-// Mirror-backed snapshot sources: the same SnapshotSource contract the TCP
+// Mirror-backed snapshot source: the same SnapshotSource contract the TCP
 // and in-process paths implement, so recompute() runs the identical
 // union/median code — that, plus snapshots derived by the same
-// snapshot_from_checkpoint codepath the polling client uses, is what makes
-// a hub estimate byte-identical to a poll of the same party states.
-// collect() runs under mu_ (recompute holds it) and refreshes each live
-// mirror's derived-snapshot cache only when its push-chain cursor moved.
-class MirrorCountSource final : public distributed::CountSnapshotSource {
+// recovery::PartyMirror the polling client uses, is what makes a hub
+// estimate byte-identical to a poll of the same party states. collect()
+// runs under mu_ (recompute holds it); each live mirror rebuilds its
+// snapshot cache only when its push-chain cursor moved.
+template <class State, class Mirror, class Party>
+class MirrorSource final
+    : public distributed::SnapshotSource<typename Mirror::Snapshot> {
  public:
-  explicit MirrorCountSource(MonitorHub& hub) : hub_(hub) {}
+  using Snapshot = typename Mirror::Snapshot;
+  MirrorSource(std::vector<State>& states, Mirror State::*mirror,
+               const Party& ref, int instances, std::uint64_t window)
+      : states_(states),
+        mirror_(mirror),
+        ref_(ref),
+        instances_(instances),
+        window_(window) {}
   [[nodiscard]] std::size_t party_count() const override {
-    return hub_.mirrors_.size();
+    return states_.size();
   }
-  [[nodiscard]] int instances() const override { return hub_.cfg_.instances; }
+  [[nodiscard]] int instances() const override { return instances_; }
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override {
-    return hub_.count_ref_->instance(instance).hash();
+    return ref_.instance(instance).hash();
   }
   [[nodiscard]] const char* transport() const override { return "push"; }
-  std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  std::vector<std::vector<Snapshot>> collect(
       std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats, distributed::CollectStats& info) override {
-    (void)stats;
-    (void)info;
-    std::vector<std::vector<core::RandWaveSnapshot>> out;
-    out.reserve(hub_.mirrors_.size());
-    for (std::size_t i = 0; i < hub_.mirrors_.size(); ++i) {
-      MonitorHub::PartyMirror& m = hub_.mirrors_[i];
-      if (!m.live) {
+      distributed::WireStats* /*stats*/,
+      distributed::CollectStats& /*info*/) override {
+    std::vector<std::vector<Snapshot>> out;
+    out.reserve(states_.size());
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      if (!states_[i].live) {
         missing.push_back(i);
         out.emplace_back();
         continue;
       }
-      if (!m.snap_valid || m.snap_cursor != m.cursor) {
-        m.count_snaps.resize(m.count_base.waves.size());
-        for (std::size_t k = 0; k < m.count_base.waves.size(); ++k) {
-          core::snapshot_from_checkpoint_into(m.count_base.waves[k], n,
-                                              m.count_snaps[k]);
-        }
-        m.snap_valid = true;
-        m.snap_cursor = m.cursor;
-      }
-      out.push_back(m.count_snaps);
+      bool hit = false;
+      out.push_back((states_[i].*mirror_).snapshots(n, window_, hit));
     }
     return out;
   }
 
  private:
-  MonitorHub& hub_;
+  std::vector<State>& states_;
+  Mirror State::*mirror_;
+  const Party& ref_;  // hash oracle
+  int instances_;
+  std::uint64_t window_;
 };
 
-class MirrorDistinctSource final : public distributed::DistinctSnapshotSource {
- public:
-  explicit MirrorDistinctSource(MonitorHub& hub) : hub_(hub) {}
-  [[nodiscard]] std::size_t party_count() const override {
-    return hub_.mirrors_.size();
-  }
-  [[nodiscard]] int instances() const override { return hub_.cfg_.instances; }
-  [[nodiscard]] const gf2::ExpHash& hash(int instance) const override {
-    return hub_.distinct_ref_->instance(instance).hash();
-  }
-  [[nodiscard]] const char* transport() const override { return "push"; }
-  std::vector<std::vector<core::DistinctSnapshot>> collect(
-      std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats, distributed::CollectStats& info) override {
-    (void)stats;
-    (void)info;
-    const std::uint64_t window = hub_.cfg_.distinct_params.window;
-    std::vector<std::vector<core::DistinctSnapshot>> out;
-    out.reserve(hub_.mirrors_.size());
-    for (std::size_t i = 0; i < hub_.mirrors_.size(); ++i) {
-      MonitorHub::PartyMirror& m = hub_.mirrors_[i];
-      if (!m.live) {
-        missing.push_back(i);
-        out.emplace_back();
-        continue;
-      }
-      if (!m.snap_valid || m.snap_cursor != m.cursor) {
-        m.distinct_snaps.resize(m.distinct_base.waves.size());
-        for (std::size_t k = 0; k < m.distinct_base.waves.size(); ++k) {
-          core::snapshot_from_checkpoint_into(m.distinct_base.waves[k], n,
-                                              window, m.distinct_snaps[k]);
-        }
-        m.snap_valid = true;
-        m.snap_cursor = m.cursor;
-      }
-      out.push_back(m.distinct_snaps);
-    }
-    return out;
-  }
-
- private:
-  MonitorHub& hub_;
-};
+}  // namespace
 
 MonitorHub::MonitorHub(HubConfig cfg)
     : cfg_(std::move(cfg)),
@@ -127,7 +84,7 @@ MonitorHub::MonitorHub(HubConfig cfg)
     distinct_ref_ = std::make_unique<distributed::DistinctParty>(
         cfg_.distinct_params, cfg_.instances, cfg_.shared_seed);
   }
-  mirrors_.resize(cfg_.parties.size());
+  states_.resize(cfg_.parties.size());
 }
 
 MonitorHub::~MonitorHub() { stop(); }
@@ -156,8 +113,8 @@ void MonitorHub::set_leg_down(std::size_t i) {
   bool changed = false;
   {
     std::lock_guard lk(mu_);
-    if (mirrors_[i].live) {
-      mirrors_[i].live = false;
+    if (states_[i].live) {
+      states_[i].live = false;
       changed = true;
     }
   }
@@ -186,14 +143,14 @@ void MonitorHub::recompute() {
       bool aligned = true;
       std::uint64_t pos = 0;
       bool first = true;
-      for (const PartyMirror& m : mirrors_) {
+      for (const PartyState& m : states_) {
         if (!m.live) {
           all_live = false;
           break;
         }
         const std::uint64_t c = cfg_.role == net::PartyRole::kCount
-                                    ? m.count_base.cursor
-                                    : m.distinct_base.cursor;
+                                    ? m.count.base().cursor
+                                    : m.distinct.base().cursor;
         if (first) {
           pos = c;
           first = false;
@@ -203,27 +160,24 @@ void MonitorHub::recompute() {
       }
       if (all_live && !aligned) return;
     }
+    const auto publish = [&next](const distributed::QueryResult& qr) {
+      next.status = qr.status;
+      next.value = qr.estimate.value;
+      next.exact = qr.estimate.exact;
+      next.missing = qr.missing.size();
+      next.error_slack = qr.error_slack;
+    };
     switch (cfg_.role) {
       case net::PartyRole::kCount: {
-        MirrorCountSource src(*this);
-        const distributed::QueryResult qr =
-            distributed::union_count(src, cfg_.n);
-        next.status = qr.status;
-        next.value = qr.estimate.value;
-        next.exact = qr.estimate.exact;
-        next.missing = qr.missing.size();
-        next.error_slack = qr.error_slack;
+        MirrorSource src(states_, &PartyState::count, *count_ref_,
+                         cfg_.instances, 0);
+        publish(distributed::union_count(src, cfg_.n));
         break;
       }
       case net::PartyRole::kDistinct: {
-        MirrorDistinctSource src(*this);
-        const distributed::QueryResult qr =
-            distributed::distinct_count(src, cfg_.n);
-        next.status = qr.status;
-        next.value = qr.estimate.value;
-        next.exact = qr.estimate.exact;
-        next.missing = qr.missing.size();
-        next.error_slack = qr.error_slack;
+        MirrorSource src(states_, &PartyState::distinct, *distinct_ref_,
+                         cfg_.instances, cfg_.distinct_params.window);
+        publish(distributed::distinct_count(src, cfg_.n));
         break;
       }
       case net::PartyRole::kBasic:
@@ -233,7 +187,7 @@ void MonitorHub::recompute() {
         double sum = 0.0;
         bool exact = true;
         std::uint64_t missing = 0;
-        for (const PartyMirror& m : mirrors_) {
+        for (const PartyState& m : states_) {
           if (!m.live) {
             ++missing;
             continue;
@@ -242,7 +196,7 @@ void MonitorHub::recompute() {
           exact = exact && m.exact;
         }
         next.missing = missing;
-        if (missing == mirrors_.size()) {
+        if (missing == states_.size()) {
           next.status = distributed::QueryStatus::kFailed;
         } else if (missing > 0) {
           next.status = distributed::QueryStatus::kDegraded;
@@ -279,62 +233,20 @@ bool MonitorHub::apply_push(std::size_t i, const net::PushUpdate& u,
     return false;
   }
   std::lock_guard lk(mu_);
-  PartyMirror& m = mirrors_[i];
-  const auto expected =
-      static_cast<std::size_t>(std::max(cfg_.instances, 0));
+  PartyState& m = states_[i];
   switch (cfg_.role) {
-    case net::PartyRole::kCount: {
-      if (u.base_cursor == 0) {
-        distributed::CountPartyCheckpoint ck;
-        if (!recovery::decode(u.body, ck)) {
-          err = "undecodable full push body";
-          return false;
-        }
-        m.count_base = std::move(ck);
-      } else {
-        if (m.cursor == 0 || u.base_cursor != m.cursor) {
-          err = "delta against a baseline this mirror does not hold";
-          return false;
-        }
-        if (!recovery::apply_delta_into(m.count_base, u.body,
-                                        m.count_scratch)) {
-          err = "undecodable delta push body";
-          return false;
-        }
-        std::swap(m.count_base, m.count_scratch);
-      }
-      if (expected > 0 && m.count_base.waves.size() != expected) {
-        err = "push carries " + std::to_string(m.count_base.waves.size()) +
-              " instances, wanted " + std::to_string(expected);
-        return false;
-      }
-      break;
-    }
+    case net::PartyRole::kCount:
     case net::PartyRole::kDistinct: {
-      if (u.base_cursor == 0) {
-        distributed::DistinctPartyCheckpoint ck;
-        if (!recovery::decode(u.body, ck)) {
-          err = "undecodable full push body";
-          return false;
-        }
-        m.distinct_base = std::move(ck);
-      } else {
-        if (m.cursor == 0 || u.base_cursor != m.cursor) {
-          err = "delta against a baseline this mirror does not hold";
-          return false;
-        }
-        if (!recovery::apply_delta_into(m.distinct_base, u.body,
-                                        m.distinct_scratch)) {
-          err = "undecodable delta push body";
-          return false;
-        }
-        std::swap(m.distinct_base, m.distinct_scratch);
-      }
-      if (expected > 0 && m.distinct_base.waves.size() != expected) {
-        err = "push carries " + std::to_string(m.distinct_base.waves.size()) +
-              " instances, wanted " + std::to_string(expected);
-        return false;
-      }
+      const auto expected =
+          static_cast<std::size_t>(std::max(cfg_.instances, 0));
+      const auto fold = [&](auto& mirror) {
+        return mirror.apply(u.base_cursor, u.cursor, u.body, u.generation,
+                            expected, err);
+      };
+      const recovery::MirrorApply what = cfg_.role == net::PartyRole::kCount
+                                             ? fold(m.count)
+                                             : fold(m.distinct);
+      if (what == recovery::MirrorApply::kRejected) return false;
       break;
     }
     case net::PartyRole::kBasic:
@@ -364,8 +276,6 @@ bool MonitorHub::apply_push(std::size_t i, const net::PushUpdate& u,
   m.live = true;
   m.generation = u.generation;
   m.cursor = u.cursor;
-  m.seq = u.seq;
-  m.snap_valid = false;
   return true;
 }
 
@@ -416,9 +326,9 @@ void MonitorHub::leg_loop(std::size_t i, const std::stop_token& st) {
         bool resync = false;
         {
           std::lock_guard lk(mu_);
-          PartyMirror& m = mirrors_[i];
+          PartyState& m = states_[i];
           if (m.cursor != 0 && ack.generation != m.generation) {
-            m = PartyMirror{};
+            m = PartyState{};
             resync = true;
           }
         }

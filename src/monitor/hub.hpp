@@ -2,14 +2,15 @@
 //
 // The hub inverts the polling referee: instead of fetching every party each
 // round, it opens one push leg per party (Hello -> kSubscribe with the
-// party's eps-slack share, tag 3) and keeps a checkpoint mirror per party
-// that kPushUpdate frames edit in place — full bodies rebase it, delta
-// bodies (the PR-7 codecs) apply to it. Every applied push recomputes the
-// merged estimate *through the same combine code the polling referee runs*
-// (distributed::union_count / distinct_count over a mirror-backed
-// SnapshotSource, with hashes re-derived from the deployment seed), so a
-// hub estimate is byte-identical to what a `wavecli query` against the
-// same party states returns — the property the loopback test diffs.
+// party's eps-slack share, tag 3) and keeps a recovery::PartyMirror per
+// party that kPushUpdate frames edit in place — the same mirror, apply
+// rules and snapshot cache RefereeClient folds its pull replies through.
+// Every applied push recomputes the merged estimate *through the same
+// combine code the polling referee runs* (distributed::union_count /
+// distinct_count over a mirror-backed SnapshotSource, with hashes
+// re-derived from the deployment seed), so a hub estimate is byte-identical
+// to what a `wavecli query` against the same party states returns — the
+// property the loopback test diffs.
 //
 // Fault model mirrors the polling client's quorum rules: a dead leg marks
 // its party missing, which fails the merged estimate closed for
@@ -48,6 +49,7 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "recovery/mirror.hpp"
 
 namespace waves::monitor {
 
@@ -132,33 +134,22 @@ class MonitorHub {
       std::uint64_t after, std::chrono::milliseconds timeout) const;
 
  private:
-  friend class MirrorCountSource;
-  friend class MirrorDistinctSource;
-
-  /// One party's pushed state: the checkpoint mirror the push chain edits,
-  /// plus the derived-snapshot cache keyed (cursor, n) so quiescent
-  /// recomputes rebuild nothing.
-  struct PartyMirror {
+  /// One party's pushed state. Count/distinct pushes fold into the
+  /// role's recovery::PartyMirror (the same apply rules and snapshot cache
+  /// the polling client runs); basic/sum pushes carry the local total.
+  struct PartyState {
     bool live = false;
     std::uint64_t generation = 0;
     std::uint64_t cursor = 0;  // push-chain cursor held (0 = no state)
-    std::uint64_t seq = 0;     // last push seq applied
-    distributed::CountPartyCheckpoint count_base;
-    distributed::CountPartyCheckpoint count_scratch;
-    distributed::DistinctPartyCheckpoint distinct_base;
-    distributed::DistinctPartyCheckpoint distinct_scratch;
+    recovery::CountMirror count;
+    recovery::DistinctMirror distinct;
     double value = 0.0;  // basic/sum local total
     bool exact = false;
-    // Snapshot cache (count/distinct).
-    bool snap_valid = false;
-    std::uint64_t snap_cursor = 0;
-    std::vector<core::RandWaveSnapshot> count_snaps;
-    std::vector<core::DistinctSnapshot> distinct_snaps;
   };
 
   void leg_loop(std::size_t i, const std::stop_token& st);
-  /// Fold one decoded push into mirror i. False (with a diagnostic) on any
-  /// cursor/codec mismatch — the leg drops and resubscribes.
+  /// Fold one decoded push into party i's state. False (with a diagnostic)
+  /// on any cursor/codec mismatch — the leg drops and resubscribes.
   [[nodiscard]] bool apply_push(std::size_t i, const net::PushUpdate& u,
                                 std::string& err);
   void set_leg_down(std::size_t i);
@@ -175,8 +166,8 @@ class MonitorHub {
   std::unique_ptr<distributed::CountParty> count_ref_;
   std::unique_ptr<distributed::DistinctParty> distinct_ref_;
 
-  mutable std::mutex mu_;  // mirrors
-  std::vector<PartyMirror> mirrors_;
+  mutable std::mutex mu_;  // states_
+  std::vector<PartyState> states_;
 
   mutable std::mutex est_mu_;
   mutable std::condition_variable est_cv_;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <limits>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "net/frame.hpp"
@@ -13,8 +14,7 @@
 #include "obs/recovery_obs.hpp"
 #include "obs/supervise_obs.hpp"
 #include "obs/trace.hpp"
-#include "recovery/checkpoint.hpp"
-#include "recovery/delta.hpp"
+#include "recovery/mirror.hpp"
 
 namespace waves::net {
 
@@ -73,80 +73,6 @@ MsgType reply_type_for(PartyRole role) {
 ClientConfig with_instances(ClientConfig cfg, int instances) {
   cfg.expected_instances = instances;
   return cfg;
-}
-
-// Folds a decoded DeltaReply into the party's mirror and produces the
-// decoded per-instance snapshots through the (cursor, n) cache. `since` is
-// the since_cursor the request carried; `snap_into` derives one snapshot
-// from one wave checkpoint in place (count: (ck, out); distinct adds the
-// window), reusing the cache entry's buffers across rounds. False on any
-// cursor/codec mismatch — the caller treats it as a protocol error and
-// drops the connection.
-template <class Checkpoint, class Snapshot, class SnapInto>
-bool apply_delta_reply(const DeltaReply& r, std::uint64_t since,
-                       std::uint64_t generation, std::uint64_t n,
-                       DeltaMirror<Checkpoint, Snapshot>& m,
-                       std::vector<Snapshot>& out, Fetch& f, std::string& err,
-                       SnapInto&& snap_into) {
-  const auto& obs = obs::NetClientObs::instance();
-  if (r.body.empty()) {
-    // "Unchanged" echo: only meaningful against the cursor we asked about.
-    if (since == 0 || r.cursor != since || r.base_cursor != since ||
-        m.cursor != since) {
-      err = "empty delta body without a matching cursor";
-      return false;
-    }
-  } else if (r.base_cursor == 0) {
-    // Self-contained full body: bootstrap, stale cursor, or server restart.
-    Checkpoint now;
-    if (!recovery::decode(r.body, now)) {
-      err = "undecodable full checkpoint body";
-      return false;
-    }
-    m.base = std::move(now);
-    m.cursor = r.cursor;
-    m.generation = generation;
-    m.cache_valid = false;
-    obs.delta_full.add();
-  } else if (since != 0 && r.base_cursor == since && m.cursor == since) {
-    // Steady-state path: apply into the mirror's scratch and swap, so the
-    // retired baseline's vectors carry their capacity into next round. On
-    // failure scratch is garbage but unread; base stays the valid mirror.
-    if (!recovery::apply_delta_into(m.base, r.body, m.scratch)) {
-      err = "undecodable delta body";
-      return false;
-    }
-    std::swap(m.base, m.scratch);
-    m.cursor = r.cursor;
-    m.cache_valid = false;
-    f.delta_applied = true;
-    obs.delta_replies.add();
-  } else {
-    err = "delta reply against a cursor we do not hold";
-    return false;
-  }
-
-  if (m.cache_valid && m.cache_cursor == m.cursor && m.cache_n == n) {
-    obs.snapshot_cache_hits.add();
-    f.cache_hit = true;
-    out = m.cache;
-    return true;
-  }
-  obs.snapshot_cache_misses.add();
-  // Rebuild the decoded-snapshot cache in place — each entry keeps its
-  // buffer capacity from the previous round — then hand the caller a copy
-  // (the Fetch owns its vector; the cache must survive for the next hit).
-  // Building into the cache instead of building fresh and copying into it
-  // halves the snapshot allocations of a steady-state delta round (E18).
-  m.cache.resize(m.base.waves.size());
-  for (std::size_t i = 0; i < m.base.waves.size(); ++i) {
-    snap_into(m.base.waves[i], m.cache[i]);
-  }
-  m.cache_cursor = m.cursor;
-  m.cache_n = n;
-  m.cache_valid = true;
-  out = m.cache;
-  return true;
 }
 
 }  // namespace
@@ -255,13 +181,8 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     // the baseline was taken: the server-side delta state died with it, so
     // drop ours and bootstrap with a full fetch. Not an error — the round
     // proceeds normally.
-    if (link.count.cursor != 0 && ack.generation != link.count.generation) {
-      link.count = {};
-    }
-    if (link.distinct.cursor != 0 &&
-        ack.generation != link.distinct.generation) {
-      link.distinct = {};
-    }
+    link.count.resync(ack.generation);
+    link.distinct.resync(ack.generation);
     link.ack = ack;
   }
   const HelloAck& ack = link.ack;
@@ -298,8 +219,8 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
       (role == PartyRole::kCount || role == PartyRole::kDistinct);
   if (wants_delta) {
     req.delta_capable = true;
-    req.since_cursor = role == PartyRole::kCount ? link.count.cursor
-                                                 : link.distinct.cursor;
+    req.since_cursor = role == PartyRole::kCount ? link.count.cursor()
+                                                 : link.distinct.cursor();
   }
   // Trace context rides the request (extension tag 2): the party's
   // server-side spans join this fetch's trace.
@@ -379,37 +300,29 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     }
     f.delta_reply = true;
     f.decode_s += lap();
+    // The mirror enforces the cursor rules and the instance count; a
+    // rejected body is a protocol error and drops the connection.
     std::string err;
-    bool ok = false;
-    std::size_t got = 0;
-    if (role == PartyRole::kCount) {
-      ok = apply_delta_reply(r, req.since_cursor, ack.generation, n,
-                             link.count, f.count_snapshots, f, err,
-                             [&](const core::RandWaveCheckpoint& ck,
-                                 core::RandWaveSnapshot& snap) {
-                               core::snapshot_from_checkpoint_into(ck, n,
-                                                                   snap);
-                             });
-      got = f.count_snapshots.size();
-    } else {
-      ok = apply_delta_reply(r, req.since_cursor, ack.generation, n,
-                             link.distinct, f.distinct_snapshots, f, err,
-                             [&](const core::DistinctWaveCheckpoint& ck,
-                                 core::DistinctSnapshot& snap) {
-                               core::snapshot_from_checkpoint_into(
-                                   ck, n, ack.window, snap);
-                             });
-      got = f.distinct_snapshots.size();
-    }
+    const auto fold = [&](auto& mirror, auto& snapshots) {
+      const recovery::MirrorApply what = mirror.apply(
+          r.base_cursor, r.cursor, r.body, ack.generation, expected, err);
+      if (what == recovery::MirrorApply::kRejected) return false;
+      if (what == recovery::MirrorApply::kFull) obs.delta_full.add();
+      if (what == recovery::MirrorApply::kDelta) {
+        obs.delta_replies.add();
+        f.delta_applied = true;
+      }
+      // The Fetch owns its vector; the cache must survive for the next hit.
+      snapshots = mirror.snapshots(n, ack.window, f.cache_hit);
+      (f.cache_hit ? obs.snapshot_cache_hits : obs.snapshot_cache_misses)
+          .add();
+      return true;
+    };
+    const bool ok = role == PartyRole::kCount
+                        ? fold(link.count, f.count_snapshots)
+                        : fold(link.distinct, f.distinct_snapshots);
     if (!ok) {
       fail(FetchStatus::kProtocolError, std::move(err));
-      f.apply_s += lap();
-      return f;
-    }
-    if (expected > 0 && got != expected) {
-      fail(FetchStatus::kProtocolError,
-           "delta reply carries " + std::to_string(got) +
-               " instances, wanted " + std::to_string(expected));
       f.apply_s += lap();
       return f;
     }
@@ -734,31 +647,47 @@ std::vector<Fetch> RefereeClient::fetch_all(PartyRole role,
   return results;
 }
 
-NetworkCountSource::NetworkCountSource(std::vector<Endpoint> parties,
-                                       const core::RandWave::Params& params,
-                                       int instances,
-                                       std::uint64_t shared_seed,
-                                       ClientConfig cfg)
+template <class Party>
+NetworkSource<Party>::NetworkSource(std::vector<Endpoint> parties,
+                                    const typename Party::Params& params,
+                                    int instances, std::uint64_t shared_seed,
+                                    ClientConfig cfg)
     : client_(std::move(parties), with_instances(cfg, instances)),
       reference_(params, instances, shared_seed) {}
 
-std::size_t NetworkCountSource::party_count() const {
+template <class Party>
+std::size_t NetworkSource<Party>::party_count() const {
   return client_.party_count();
 }
 
-int NetworkCountSource::instances() const { return reference_.instances(); }
+template <class Party>
+int NetworkSource<Party>::instances() const {
+  return reference_.instances();
+}
 
-const gf2::ExpHash& NetworkCountSource::hash(int instance) const {
+template <class Party>
+const gf2::ExpHash& NetworkSource<Party>::hash(int instance) const {
   return reference_.instance(instance).hash();
 }
 
-std::vector<std::vector<core::RandWaveSnapshot>> NetworkCountSource::collect(
-    std::uint64_t n, std::vector<std::size_t>& missing,
-    distributed::WireStats* stats, distributed::CollectStats& info) {
-  std::vector<Fetch> fetches = client_.fetch_all(PartyRole::kCount, n);
-  std::vector<std::vector<core::RandWaveSnapshot>> by_party(fetches.size());
+template <class Party>
+std::vector<std::vector<typename Party::Snapshot>>
+NetworkSource<Party>::collect(std::uint64_t n,
+                              std::vector<std::size_t>& missing,
+                              distributed::WireStats* stats,
+                              distributed::CollectStats& info) {
+  constexpr bool kCount = std::is_same_v<Party, distributed::CountParty>;
+  std::vector<Fetch> fetches =
+      client_.fetch_all(kCount ? PartyRole::kCount : PartyRole::kDistinct, n);
+  std::vector<std::vector<Snapshot>> by_party(fetches.size());
   for (std::size_t i = 0; i < fetches.size(); ++i) {
     Fetch& f = fetches[i];
+    std::vector<Snapshot>* snaps = nullptr;
+    if constexpr (kCount) {
+      snaps = &f.count_snapshots;
+    } else {
+      snaps = &f.distinct_snapshots;
+    }
     info.bytes += f.bytes_received;
     if (!f.ok()) {
       if (f.status == FetchStatus::kProtocolError) ++info.decode_failures;
@@ -767,70 +696,23 @@ std::vector<std::vector<core::RandWaveSnapshot>> NetworkCountSource::collect(
     }
     // combine_median indexes every party's vector at [0, instances);
     // a short reply must land in `missing`, never out-of-bounds there.
-    if (f.count_snapshots.size() !=
-        static_cast<std::size_t>(instances())) {
+    if (snaps->size() != static_cast<std::size_t>(instances())) {
       ++info.decode_failures;
       missing.push_back(i);
       continue;
     }
-    info.messages += f.count_snapshots.size();
+    info.messages += snaps->size();
     if (stats != nullptr) {
       stats->add(f.bytes_received,
                  static_cast<double>(f.bytes_received) * 8.0);
     }
-    by_party[i] = std::move(f.count_snapshots);
+    by_party[i] = std::move(*snaps);
   }
   return by_party;
 }
 
-NetworkDistinctSource::NetworkDistinctSource(
-    std::vector<Endpoint> parties, const core::DistinctWave::Params& params,
-    int instances, std::uint64_t shared_seed, ClientConfig cfg)
-    : client_(std::move(parties), with_instances(cfg, instances)),
-      reference_(params, instances, shared_seed) {}
-
-std::size_t NetworkDistinctSource::party_count() const {
-  return client_.party_count();
-}
-
-int NetworkDistinctSource::instances() const {
-  return reference_.instances();
-}
-
-const gf2::ExpHash& NetworkDistinctSource::hash(int instance) const {
-  return reference_.instance(instance).hash();
-}
-
-std::vector<std::vector<core::DistinctSnapshot>>
-NetworkDistinctSource::collect(std::uint64_t n,
-                               std::vector<std::size_t>& missing,
-                               distributed::WireStats* stats,
-                               distributed::CollectStats& info) {
-  std::vector<Fetch> fetches = client_.fetch_all(PartyRole::kDistinct, n);
-  std::vector<std::vector<core::DistinctSnapshot>> by_party(fetches.size());
-  for (std::size_t i = 0; i < fetches.size(); ++i) {
-    Fetch& f = fetches[i];
-    info.bytes += f.bytes_received;
-    if (!f.ok()) {
-      if (f.status == FetchStatus::kProtocolError) ++info.decode_failures;
-      missing.push_back(i);
-      continue;
-    }
-    if (f.distinct_snapshots.size() !=
-        static_cast<std::size_t>(instances())) {
-      ++info.decode_failures;
-      missing.push_back(i);
-      continue;
-    }
-    info.messages += f.distinct_snapshots.size();
-    if (stats != nullptr) {
-      stats->add(f.bytes_received,
-                 static_cast<double>(f.bytes_received) * 8.0);
-    }
-    by_party[i] = std::move(f.distinct_snapshots);
-  }
-  return by_party;
-}
+template class NetworkSource<distributed::CountParty>;
+template class NetworkSource<distributed::DistinctParty>;
 
 distributed::QueryResult total_query(const RefereeClient& client,
                                      PartyRole role, std::uint64_t n,

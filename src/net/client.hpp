@@ -12,20 +12,21 @@
 // per party, so a round costs max-latency, not sum.
 //
 // Fast query path (count/distinct roles, ClientConfig::delta_snapshots):
-// the client mirrors each party's last checkpoint and asks for protocol-v3
-// delta replies against it, so steady-state rounds transfer the *edit*
-// since the previous round instead of the full synopsis. Decoded
-// per-instance snapshots are cached keyed (party generation, cursor, n);
-// an "unchanged" reply is a cache hit that decodes nothing. A generation
-// bump at handshake (the party restarted) silently drops the mirror and
-// bootstraps with a full fetch; a server with delta disabled just answers
-// v2 full replies and everything still works.
+// the client keeps a recovery::PartyMirror of each party's last checkpoint
+// and asks for protocol-v3 delta replies against it, so steady-state
+// rounds transfer the *edit* since the previous round instead of the full
+// synopsis. The mirror (recovery/mirror.hpp, shared with MonitorHub's push
+// legs) owns the apply rules and the decoded-snapshot cache keyed
+// (cursor, n); an "unchanged" reply is a cache hit that decodes nothing.
+// A generation bump at handshake (the party restarted) silently drops the
+// mirror and bootstraps with a full fetch; a server with delta disabled
+// just answers v2 full replies and everything still works.
 //
-// NetworkCountSource / NetworkDistinctSource adapt the client to the
-// referee's SnapshotSource interface: the snapshot bytes come off the
-// network while the shared hashes are re-derived locally from the
-// deployment seed (stored coins — the parties and the referee flipped them
-// together at setup, Sec. 2). total_query() covers Scenario 1, where
+// NetworkSource (NetworkCountSource / NetworkDistinctSource) adapts the
+// client to the referee's SnapshotSource interface: the snapshot bytes
+// come off the network while the shared hashes are re-derived locally from
+// the deployment seed (stored coins — the parties and the referee flipped
+// them together at setup, Sec. 2). total_query() covers Scenario 1, where
 // partial quorum degrades instead of failing: responders' totals still sum,
 // and the missing parties' unknown contribution is bounded by
 // missing * n * max_value and reported as error_slack.
@@ -46,6 +47,7 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "obs/trace.hpp"
+#include "recovery/mirror.hpp"
 
 namespace waves::net {
 
@@ -152,24 +154,6 @@ struct Fetch {
   [[nodiscard]] bool ok() const noexcept { return status == FetchStatus::kOk; }
 };
 
-/// Client-side delta state for one party and one checkpoint flavor: the
-/// mirrored baseline the server diffs against, plus the decoded snapshots
-/// derived from it, cached under the (cursor, n) they were built for. The
-/// owning PartyLink's generation handling invalidates both on restart.
-template <class Checkpoint, class Snapshot>
-struct DeltaMirror {
-  std::uint64_t cursor = 0;      // server cursor of `base`; 0 = no baseline
-  std::uint64_t generation = 0;  // party epoch the mirror belongs to
-  Checkpoint base;
-  // apply_delta_into destination, ping-ponged with `base` via swap so the
-  // retired baseline's vectors become next round's capacity.
-  Checkpoint scratch;
-  bool cache_valid = false;
-  std::uint64_t cache_cursor = 0;
-  std::uint64_t cache_n = 0;
-  std::vector<Snapshot> cache;
-};
-
 class RefereeClient {
  public:
   explicit RefereeClient(std::vector<Endpoint> parties,
@@ -216,10 +200,8 @@ class RefereeClient {
     Socket sock;  // invalid between connections
     bool ever_connected = false;
     HelloAck ack;  // handshake of the live connection
-    DeltaMirror<distributed::CountPartyCheckpoint, core::RandWaveSnapshot>
-        count;
-    DeltaMirror<distributed::DistinctPartyCheckpoint, core::DistinctSnapshot>
-        distinct;
+    recovery::CountMirror count;
+    recovery::DistinctMirror distinct;
     // Round-to-round scratch, all guarded by `mu`: the reply frame, the
     // encoded request, and the decoded delta reply keep their high-water
     // capacities so a steady-state keep-alive fetch allocates almost
@@ -267,20 +249,24 @@ class RefereeClient {
   mutable std::atomic<std::uint64_t> last_trace_id_{0};
 };
 
-/// Union-counting snapshot source over TCP. The hashes come from a local
+/// Snapshot source over TCP: Union Counting (NetworkCountSource) or
+/// distinct values (NetworkDistinctSource). The hashes come from a local
 /// never-fed reference party built from the same (params, instances, seed)
 /// as the deployment — stored shared coins, not communication.
-class NetworkCountSource final : public distributed::CountSnapshotSource {
+template <class Party>
+class NetworkSource final
+    : public distributed::SnapshotSource<typename Party::Snapshot> {
  public:
-  NetworkCountSource(std::vector<Endpoint> parties,
-                     const core::RandWave::Params& params, int instances,
-                     std::uint64_t shared_seed, ClientConfig cfg = {});
+  using Snapshot = typename Party::Snapshot;
+  NetworkSource(std::vector<Endpoint> parties,
+                const typename Party::Params& params, int instances,
+                std::uint64_t shared_seed, ClientConfig cfg = {});
 
   [[nodiscard]] std::size_t party_count() const override;
   [[nodiscard]] int instances() const override;
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
   [[nodiscard]] const char* transport() const override { return "tcp"; }
-  std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  std::vector<std::vector<Snapshot>> collect(
       std::uint64_t n, std::vector<std::size_t>& missing,
       distributed::WireStats* stats,
       distributed::CollectStats& info) override;
@@ -289,32 +275,13 @@ class NetworkCountSource final : public distributed::CountSnapshotSource {
 
  private:
   RefereeClient client_;
-  distributed::CountParty reference_;  // hash oracle; never observes items
+  Party reference_;  // hash oracle; never observes items
 };
 
-class NetworkDistinctSource final
-    : public distributed::DistinctSnapshotSource {
- public:
-  NetworkDistinctSource(std::vector<Endpoint> parties,
-                        const core::DistinctWave::Params& params,
-                        int instances, std::uint64_t shared_seed,
-                        ClientConfig cfg = {});
-
-  [[nodiscard]] std::size_t party_count() const override;
-  [[nodiscard]] int instances() const override;
-  [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
-  [[nodiscard]] const char* transport() const override { return "tcp"; }
-  std::vector<std::vector<core::DistinctSnapshot>> collect(
-      std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats,
-      distributed::CollectStats& info) override;
-
-  [[nodiscard]] RefereeClient& client() noexcept { return client_; }
-
- private:
-  RefereeClient client_;
-  distributed::DistinctParty reference_;
-};
+extern template class NetworkSource<distributed::CountParty>;
+extern template class NetworkSource<distributed::DistinctParty>;
+using NetworkCountSource = NetworkSource<distributed::CountParty>;
+using NetworkDistinctSource = NetworkSource<distributed::DistinctParty>;
 
 /// Scenario-1 total over the network: sums TotalReply values across
 /// parties. Full quorum -> kOk. Partial quorum -> kDegraded with

@@ -222,51 +222,77 @@ HelloAck PartyServer::hello_ack() const {
   return ack;
 }
 
-template <class Party, class Checkpoint>
-void PartyServer::delta_answer(Party* party, DeltaState<Checkpoint>& st,
+namespace {
+
+// The two halves of shipping a party's state against a held baseline, one
+// overloaded pair per role, shared by the pull replies and the push chain.
+//
+// encode_from_baseline appends the diff from `base` to the live state to
+// `out` and advances `base` to the state just encoded; false (with `out`
+// and `base` untouched) when the diff form can't express the change and
+// the caller must ship a full body instead.
+//
+// encode_full checkpoints the party, writes the self-contained body to
+// `out`, and refreshes `base` to describe it.
+
+bool encode_from_baseline(const distributed::CountParty& party,
+                          recovery::CountDeltaBaseline& base, Bytes& out) {
+  // O(change) diff straight out of the live rings.
+  return recovery::encode_delta_live(party, base, out);
+}
+
+void encode_full(const distributed::CountParty& party,
+                 recovery::CountDeltaBaseline& base, Bytes& out) {
+  const distributed::CountPartyCheckpoint now = party.checkpoint();
+  out = recovery::encode(now);
+  recovery::baseline_from_checkpoint(now, base);
+}
+
+bool encode_from_baseline(const distributed::DistinctParty& party,
+                          distributed::DistinctPartyCheckpoint& base,
+                          Bytes& out) {
+  // The checkpoint diff falls back to full-form waves internally, so it
+  // always expresses the change.
+  distributed::DistinctPartyCheckpoint now = party.checkpoint();
+  out = recovery::encode_delta(base, now);
+  base = std::move(now);
+  return true;
+}
+
+void encode_full(const distributed::DistinctParty& party,
+                 distributed::DistinctPartyCheckpoint& base, Bytes& out) {
+  base = party.checkpoint();
+  out = recovery::encode(base);
+}
+
+// Ships the party's state into `out`: a diff against `base` when
+// `has_base` and the role's encoder can express it, otherwise a full body
+// that rebases `base`. True when `out` is a diff.
+template <class Party, class Baseline>
+bool encode_against(const Party& party, bool has_base, Baseline& base,
+                    Bytes& out) {
+  out.clear();
+  if (has_base && encode_from_baseline(party, base, out)) return true;
+  encode_full(party, base, out);
+  return false;
+}
+
+}  // namespace
+
+template <class Party, class Baseline>
+void PartyServer::delta_answer(const Party& party, PullChain<Baseline>& st,
                                const SnapshotRequest& req,
                                DeltaReply& r) const {
   const auto& obs = obs::NetServerObs::instance();
   std::lock_guard lk(st.mu);
-  // Unchanged fast-path: the client's baseline is our current one and the
-  // party ingested nothing since it was taken — echo the cursor, empty
-  // body, no checkpoint walk at all.
-  if (req.since_cursor != 0 && req.since_cursor == st.serial &&
-      party->items_observed() == st.base.cursor) {
-    r.base_cursor = st.serial;
-    r.cursor = st.serial;
-    obs.delta_unchanged.add();
-    return;
-  }
-  Checkpoint now = party->checkpoint();
-  const std::uint64_t next = st.serial + 1;
-  if (req.since_cursor != 0 && req.since_cursor == st.serial) {
-    r.base_cursor = st.serial;
-    r.body = recovery::encode_delta(st.base, now);
-    obs.delta_replies.add();
-  } else {
-    // Bootstrap (since_cursor 0) or a cursor we no longer hold (another
-    // client advanced the baseline, or this process restarted): ship a
-    // self-contained full body. base_cursor 0 tells the client so.
-    r.base_cursor = 0;
-    r.body = recovery::encode(now);
-    obs.delta_full.add();
-  }
-  r.cursor = next;
-  st.serial = next;
-  st.base = std::move(now);
-}
-
-void PartyServer::count_delta_answer(const SnapshotRequest& req,
-                                     DeltaReply& r) const {
-  const auto& obs = obs::NetServerObs::instance();
-  CountDeltaState& st = count_delta_;
-  std::lock_guard lk(st.mu);
+  // Both baselines carry the party's items_observed at encode time.
+  const std::uint64_t items = party.items_observed();
+  const bool holds_since =
+      req.since_cursor != 0 && req.since_cursor == st.serial;
   // Unchanged fast-path: the client's baseline is our current one and the
   // party ingested nothing since it was taken — echo the cursor, empty
   // body, no synopsis walk at all.
-  if (req.since_cursor != 0 && req.since_cursor == st.serial &&
-      st.baseline.valid && count_->items_observed() == st.baseline.cursor) {
+  if (holds_since && items == st.baseline.cursor) {
     r.base_cursor = st.serial;
     r.cursor = st.serial;
     obs.delta_unchanged.add();
@@ -276,40 +302,21 @@ void PartyServer::count_delta_answer(const SnapshotRequest& req,
   // ingested since it was encoded — the client never applied it (timeout,
   // reconnect), so the identical body is still the right answer even
   // though the baseline has moved past req.since_cursor.
-  if (st.cache_valid && req.since_cursor == st.cached_since &&
-      req.since_cursor != 0 && count_->items_observed() == st.cached_items) {
+  if (st.cache_valid && req.since_cursor != 0 &&
+      req.since_cursor == st.cached_since && items == st.cached_items) {
     r.base_cursor = st.cached_base_cursor;
     r.cursor = st.cached_cursor;
     r.body = st.cached_body;
-    if (r.base_cursor != 0) {
-      obs.delta_replies.add();
-    } else {
-      obs.delta_full.add();
-    }
+    (r.base_cursor != 0 ? obs.delta_replies : obs.delta_full).add();
     return;
   }
-  const std::uint64_t next = st.serial + 1;
-  r.body.clear();
-  if (req.since_cursor != 0 && req.since_cursor == st.serial &&
-      st.baseline.valid &&
-      recovery::encode_delta_live(*count_, st.baseline, r.body)) {
-    // O(change) diff straight out of the live rings; the baseline summary
-    // now describes the state just encoded.
-    r.base_cursor = st.serial;
-    obs.delta_replies.add();
-  } else {
-    // Bootstrap (since_cursor 0), a cursor we no longer hold (another
-    // client advanced the baseline, or this process restarted), or a live
-    // shape the diff form can't express: ship a self-contained full body.
-    // base_cursor 0 tells the client so.
-    distributed::CountPartyCheckpoint now = count_->checkpoint();
-    r.base_cursor = 0;
-    r.body = recovery::encode(now);
-    recovery::baseline_from_checkpoint(now, st.baseline);
-    obs.delta_full.add();
-  }
-  r.cursor = next;
-  st.serial = next;
+  // Bootstrap (since_cursor 0) or a cursor we no longer hold (another
+  // client advanced the baseline, or this process restarted) ships a
+  // self-contained full body; base_cursor 0 tells the client so.
+  const bool diff = encode_against(party, holds_since, st.baseline, r.body);
+  r.base_cursor = diff ? st.serial : 0;
+  (diff ? obs.delta_replies : obs.delta_full).add();
+  r.cursor = ++st.serial;
   st.cache_valid = true;
   st.cached_since = req.since_cursor;
   st.cached_items = st.baseline.cursor;
@@ -343,63 +350,44 @@ void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
                      (role_ == PartyRole::kCount ||
                       role_ == PartyRole::kDistinct);
 
+  // Count/distinct: a v3 delta reply from the role's pull chain, or the v2
+  // full snapshot reply.
+  const auto snapshot_reply = [&](const auto& party, auto& pull, auto reply,
+                                  MsgType type) {
+    if (delta) {
+      DeltaReply r;
+      r.request_id = req.request_id;
+      r.generation = cfg_.generation;
+      r.role = role_;
+      {
+        // Covers the checkpoint walk (which contends with the ingest
+        // lock) and the delta diff — the "interference" phase.
+        auto d = obs::Tracer::instance().start("party.delta", span.context());
+        delta_answer(party, pull, req, r);
+        d.set("body_bytes", static_cast<double>(r.body.size()));
+        d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
+      }
+      send(MsgType::kDeltaReply, r.encode());
+      return;
+    }
+    reply.request_id = req.request_id;
+    reply.generation = cfg_.generation;
+    {
+      [[maybe_unused]] auto s =
+          obs::Tracer::instance().start("party.snapshot", span.context());
+      reply.snapshots = party.snapshots(req.n);
+    }
+    send(type, reply.encode());
+  };
+
   switch (role_) {
-    case PartyRole::kCount: {
-      if (delta) {
-        DeltaReply r;
-        r.request_id = req.request_id;
-        r.generation = cfg_.generation;
-        r.role = role_;
-        {
-          // Covers the checkpoint walk (which contends with the ingest
-          // lock) and the delta diff — the "interference" phase.
-          auto d = obs::Tracer::instance().start("party.delta",
-                                                 span.context());
-          count_delta_answer(req, r);
-          d.set("body_bytes", static_cast<double>(r.body.size()));
-          d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
-        }
-        send(MsgType::kDeltaReply, r.encode());
-        return;
-      }
-      CountReply r;
-      r.request_id = req.request_id;
-      r.generation = cfg_.generation;
-      {
-        [[maybe_unused]] auto s = obs::Tracer::instance().start(
-            "party.snapshot", span.context());
-        r.snapshots = count_->snapshots(req.n);
-      }
-      send(MsgType::kCountReply, r.encode());
+    case PartyRole::kCount:
+      snapshot_reply(*count_, count_pull_, CountReply{}, MsgType::kCountReply);
       return;
-    }
-    case PartyRole::kDistinct: {
-      if (delta) {
-        DeltaReply r;
-        r.request_id = req.request_id;
-        r.generation = cfg_.generation;
-        r.role = role_;
-        {
-          auto d = obs::Tracer::instance().start("party.delta",
-                                                 span.context());
-          delta_answer(distinct_, distinct_delta_, req, r);
-          d.set("body_bytes", static_cast<double>(r.body.size()));
-          d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
-        }
-        send(MsgType::kDeltaReply, r.encode());
-        return;
-      }
-      DistinctReply r;
-      r.request_id = req.request_id;
-      r.generation = cfg_.generation;
-      {
-        [[maybe_unused]] auto s = obs::Tracer::instance().start(
-            "party.snapshot", span.context());
-        r.snapshots = distinct_->snapshots(req.n);
-      }
-      send(MsgType::kDistinctReply, r.encode());
+    case PartyRole::kDistinct:
+      snapshot_reply(*distinct_, distinct_pull_, DistinctReply{},
+                     MsgType::kDistinctReply);
       return;
-    }
     case PartyRole::kBasic: {
       const core::Estimate est = basic_->query(req.n);
       TotalReply r{req.request_id, cfg_.generation, est.value, est.exact,
@@ -462,40 +450,22 @@ void PartyServer::push_update(Subscription& sub, Outbox& out) {
   u.generation = cfg_.generation;
   u.role = role_;
   bool full = true;
+  // Count/distinct: the same encode pair as the pull path, but against this
+  // subscription's own baseline — two subscribers at different points in
+  // their chains never corrupt each other.
+  const auto chain = [&](const auto& party, auto& base) {
+    full = !encode_against(party, sub.cursor != 0, base, u.body);
+    u.base_cursor = full ? 0 : sub.cursor;
+    u.items_observed = base.cursor;
+    sub.pushed_items = base.cursor;
+  };
   switch (role_) {
-    case PartyRole::kCount: {
-      // Same O(change) live encoder as the pull path, but against this
-      // subscription's own baseline — two subscribers at different points
-      // in their chains never corrupt each other.
-      if (sub.cursor != 0 && sub.count_base.valid &&
-          recovery::encode_delta_live(*count_, sub.count_base, u.body)) {
-        u.base_cursor = sub.cursor;
-        full = false;
-      } else {
-        distributed::CountPartyCheckpoint now = count_->checkpoint();
-        u.body = recovery::encode(now);
-        recovery::baseline_from_checkpoint(now, sub.count_base);
-        u.base_cursor = 0;
-      }
-      u.items_observed = sub.count_base.cursor;
-      sub.pushed_items = sub.count_base.cursor;
+    case PartyRole::kCount:
+      chain(*count_, sub.count_base);
       break;
-    }
-    case PartyRole::kDistinct: {
-      distributed::DistinctPartyCheckpoint now = distinct_->checkpoint();
-      if (sub.cursor != 0) {
-        u.body = recovery::encode_delta(sub.distinct_base, now);
-        u.base_cursor = sub.cursor;
-        full = false;
-      } else {
-        u.body = recovery::encode(now);
-        u.base_cursor = 0;
-      }
-      u.items_observed = now.cursor;
-      sub.pushed_items = now.cursor;
-      sub.distinct_base = std::move(now);
+    case PartyRole::kDistinct:
+      chain(*distinct_, sub.distinct_base);
       break;
-    }
     case PartyRole::kBasic: {
       const core::Estimate est = basic_->query(sub.n);
       distributed::put_fixed64(u.body,
@@ -537,20 +507,14 @@ void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
   const auto& mobs = obs::MonitorPartyObs::instance();
   mobs.push_checks.add();
   switch (role_) {
-    case PartyRole::kCount: {
+    case PartyRole::kCount:
+    case PartyRole::kDistinct: {
       // Count-based windows expire only when items arrive, so the party's
       // item cursor covers window-expiry drift too: a quiescent stream is
       // provably drift-free and the check costs one atomic-ish read.
-      const std::uint64_t items = count_->items_observed();
-      if (items == sub.pushed_items ||
-          static_cast<double>(items - sub.pushed_items) < sub.slack) {
-        return;
-      }
-      push_update(sub, out);
-      return;
-    }
-    case PartyRole::kDistinct: {
-      const std::uint64_t items = distinct_->items_observed();
+      const std::uint64_t items = role_ == PartyRole::kCount
+                                      ? count_->items_observed()
+                                      : distinct_->items_observed();
       if (items == sub.pushed_items ||
           static_cast<double>(items - sub.pushed_items) < sub.slack) {
         return;

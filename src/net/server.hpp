@@ -11,6 +11,13 @@
 // Backends are internally locked (the parties) or locked here (the totals
 // states), so an ingestion thread may keep feeding while the referee
 // queries — the model's "parties observe, referee asks" split.
+//
+// Delta shipping (count/distinct): pull replies and push subscriptions
+// encode the party's state through one overloaded pair per role (encode
+// from a held baseline, or encode full and refresh the baseline; see
+// server.cpp). Pulls run it against the role's PullChain — serial cursor,
+// "unchanged" fast path, retry cache — and pushes against the
+// subscription's own baseline.
 #pragma once
 
 #include <atomic>
@@ -184,30 +191,22 @@ class PartyServer {
   void note_checkpoint();
 
  private:
-  // Delta baseline: the party checkpoint most recently shipped to *any*
-  // delta-capable client, cursored by an always-bumping serial. The serial
-  // (not the party's item count) is the wire cursor, so two clients
-  // interleaving requests can never hold different baselines under the same
-  // cursor value — a since_cursor that isn't the current serial simply
-  // falls back to a full reply. Only the role's matching state is used.
-  template <class Checkpoint>
-  struct DeltaState {
+  // Pull-side delta state for one role: the baseline most recently
+  // shipped to *any* delta-capable client (count: the live encoder's shape
+  // summary, recovery/delta_live.hpp; distinct: the full checkpoint),
+  // cursored by an always-bumping serial. The serial (not the party's item
+  // count) is the wire cursor, so two clients interleaving requests can
+  // never hold different baselines under the same cursor value — a
+  // since_cursor that isn't the current serial simply falls back to a full
+  // reply. Plus a retry cache: a client that timed out and retries the
+  // same since_cursor would otherwise miss the (already advanced) baseline
+  // and force a full resync; as long as nothing was ingested in between,
+  // re-shipping the previous body verbatim is exactly equivalent.
+  template <class Baseline>
+  struct PullChain {
     std::mutex mu;
     std::uint64_t serial = 0;  // 0 = no baseline handed out yet
-    Checkpoint base;
-  };
-
-  // Count-role delta state: instead of a full baseline checkpoint, keep
-  // the O(instances * levels) shape summary the live encoder diffs
-  // against (recovery/delta_live.hpp), plus a retry cache. A client that
-  // timed out and retries the same since_cursor would otherwise miss the
-  // (already advanced) baseline and force a full resync; as long as
-  // nothing was ingested in between, re-shipping the previous body verbatim
-  // is exactly equivalent.
-  struct CountDeltaState {
-    std::mutex mu;
-    std::uint64_t serial = 0;  // 0 = no baseline handed out yet
-    recovery::CountDeltaBaseline baseline;
+    Baseline baseline;
     bool cache_valid = false;
     std::uint64_t cached_since = 0;        // request's since_cursor
     std::uint64_t cached_items = 0;        // items_observed at encode time
@@ -233,8 +232,7 @@ class PartyServer {
     std::uint64_t pushed_items = 0;   // count/distinct
     double pushed_value = 0.0;        // basic/sum
     std::uint64_t last_change = 0;    // change_cursor at last check
-    // Per-subscription delta baselines (count: live-encoder shape summary;
-    // distinct: full checkpoint to diff against).
+    // Per-subscription delta baselines, same kinds as PullChain's.
     recovery::CountDeltaBaseline count_base;
     distributed::DistinctPartyCheckpoint distinct_base;
   };
@@ -270,12 +268,11 @@ class PartyServer {
   void subscribe(const SubscribeRequest& req, Subscription& sub, Outbox& out);
   /// Unconditional push of the current state (initial ack, drift firing).
   void push_update(Subscription& sub, Outbox& out);
-  template <class Party, class Checkpoint>
-  void delta_answer(Party* party, DeltaState<Checkpoint>& st,
+  /// Fills a delta-capable request's reply from the role's pull chain:
+  /// "unchanged" echo, retry-cache replay, diff, or full fallback.
+  template <class Party, class Baseline>
+  void delta_answer(const Party& party, PullChain<Baseline>& st,
                     const SnapshotRequest& req, DeltaReply& r) const;
-  /// Count-role replacement for delta_answer: O(change) live diff plus a
-  /// retry cache (see CountDeltaState).
-  void count_delta_answer(const SnapshotRequest& req, DeltaReply& r) const;
 
   ServerConfig cfg_;
   PartyRole role_;
@@ -285,8 +282,8 @@ class PartyServer {
   SumPartyState* sum_ = nullptr;
   AggPartyState* agg_ = nullptr;
 
-  mutable CountDeltaState count_delta_;
-  mutable DeltaState<distributed::DistinctPartyCheckpoint> distinct_delta_;
+  mutable PullChain<recovery::CountDeltaBaseline> count_pull_;
+  mutable PullChain<distributed::DistinctPartyCheckpoint> distinct_pull_;
 
   Listener listener_;
 

@@ -123,9 +123,9 @@ bool diff_rand(Bytes& out, const core::RandWaveCheckpoint& base,
 }
 
 // Builds into `out` in place, reassigning its per-level vectors so their
-// capacity survives across rounds (the client's ping-pong scratch). `out`
+// capacity survives across rounds (PartyMirror's ping-pong scratch). `out`
 // is unspecified on failure and must not alias `base` — both hold at every
-// call site (fresh locals, or DeltaMirror's distinct base/scratch members).
+// call site (fresh locals, or PartyMirror's distinct base/scratch members).
 bool apply_rand(const Bytes& in, std::size_t& at,
                 const core::RandWaveCheckpoint& base,
                 core::RandWaveCheckpoint& out) {

@@ -73,7 +73,7 @@ void put_delta(Bytes& out, const core::DistinctWaveCheckpoint& base,
 
 /// Capacity-reusing variants for the steady-state client: build the new
 /// checkpoint *into* `out`, reassigning its existing vectors so a caller
-/// that ping-pongs two checkpoints (DeltaMirror's base/scratch) applies a
+/// that ping-pongs two checkpoints (PartyMirror's base/scratch) applies a
 /// round's delta with near-zero allocations. Price of the reuse: `out` is
 /// unspecified on failure (the all-or-nothing wrappers above delegate here
 /// through a fresh checkpoint) and must not alias `base`. Same rejection

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/basic_wave.hpp"
@@ -26,11 +27,14 @@
 #include "gf2/gf2.hpp"
 #include "gf2/shared_randomness.hpp"
 #include "net/client.hpp"
+#include "net/frame.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "obs/net_obs.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/delta.hpp"
 #include "recovery/delta_live.hpp"
+#include "recovery/mirror.hpp"
 #include "stream/generators.hpp"
 #include "stream/splitters.hpp"
 #include "stream/value_streams.hpp"
@@ -318,6 +322,157 @@ TEST(RecoveryDelta, SteadyStateDeltaIsSmallerThanFull) {
   const Bytes full = encode(now);
   EXPECT_LT(delta.size() * 5, full.size())
       << "delta " << delta.size() << " vs full " << full.size();
+}
+
+// -- the referee-side party mirror -----------------------------------------
+// recovery/mirror.hpp: the one routine every transport folds its
+// DeltaReply-shaped bodies through (RefereeClient pulls, MonitorHub pushes).
+
+struct MirrorFixture {
+  static constexpr std::uint64_t kWindow = 256;
+  MirrorFixture() : party({.eps = 0.3, .window = kWindow, .c = 8}, 3, 42) {
+    ingest(900);
+  }
+  void ingest(int k) {
+    for (int i = 0; i < k; ++i) party.observe(bits.next());
+  }
+  distributed::CountParty party;
+  stream::BernoulliBits bits{0.3, 11};
+};
+
+void expect_same(const std::vector<core::RandWaveSnapshot>& a,
+                 const std::vector<core::RandWaveSnapshot>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].level, b[i].level) << i;
+    EXPECT_EQ(a[i].stream_len, b[i].stream_len) << i;
+    EXPECT_EQ(a[i].positions, b[i].positions) << i;
+  }
+}
+
+TEST(RecoveryDelta, MirrorUnchangedEchoMustMatchHeldCursor) {
+  MirrorFixture f;
+  CountMirror m;
+  std::string err;
+  // Nothing held: an "unchanged" echo has nothing to refer to.
+  EXPECT_EQ(m.apply(1, 1, Bytes{}, 1, 3, err), MirrorApply::kRejected);
+  ASSERT_EQ(m.apply(0, 5, encode(f.party.checkpoint()), 1, 3, err),
+            MirrorApply::kFull)
+      << err;
+  // An echo naming any other cursor, in either field, is rejected.
+  EXPECT_EQ(m.apply(4, 4, Bytes{}, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.apply(5, 6, Bytes{}, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.apply(6, 5, Bytes{}, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.cursor(), 5u);
+  EXPECT_EQ(m.apply(5, 5, Bytes{}, 1, 3, err), MirrorApply::kUnchanged);
+  EXPECT_EQ(m.cursor(), 5u);
+  expect_same(m.base(), f.party.checkpoint());
+}
+
+TEST(RecoveryDelta, MirrorRejectsDeltaAgainstCursorItDoesNotHold) {
+  MirrorFixture f;
+  const auto base = f.party.checkpoint();
+  f.ingest(60);
+  const Bytes delta = encode_delta(base, f.party.checkpoint());
+  CountMirror m;
+  std::string err;
+  // Nothing held: a diff has no baseline to apply to.
+  EXPECT_EQ(m.apply(5, 6, delta, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.cursor(), 0u);
+  ASSERT_EQ(m.apply(0, 5, encode(base), 1, 3, err), MirrorApply::kFull);
+  // A diff against a cursor other than the held one is rejected, even
+  // though its bytes would decode against the held state.
+  EXPECT_EQ(m.apply(4, 6, delta, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.cursor(), 5u);
+  expect_same(m.base(), base);
+  ASSERT_EQ(m.apply(5, 6, delta, 1, 3, err), MirrorApply::kDelta) << err;
+  expect_same(m.base(), f.party.checkpoint());
+}
+
+TEST(RecoveryDelta, MirrorFailedApplyLeavesBaseUsable) {
+  MirrorFixture f;
+  const auto base = f.party.checkpoint();
+  CountMirror m;
+  std::string err;
+  ASSERT_EQ(m.apply(0, 1, encode(base), 1, 3, err), MirrorApply::kFull);
+  f.ingest(80);
+  const Bytes delta = encode_delta(base, f.party.checkpoint());
+
+  // Undecodable bodies against the held cursor, and an undecodable full
+  // body, are rejected; each one dirties the mirror's scratch.
+  Bytes garbage = delta;
+  garbage.push_back(0x01);
+  const Bytes truncated(delta.begin(), delta.end() - 1);
+  EXPECT_EQ(m.apply(1, 2, garbage, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.apply(1, 2, truncated, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.apply(0, 2, Bytes{0xFF}, 1, 3, err), MirrorApply::kRejected);
+  EXPECT_EQ(m.cursor(), 1u);
+  expect_same(m.base(), base);
+
+  // The base is still the one the sender diffed against: the next valid
+  // delta applies and reproduces the party's checkpoint.
+  ASSERT_EQ(m.apply(1, 2, delta, 1, 3, err), MirrorApply::kDelta) << err;
+  expect_same(m.base(), f.party.checkpoint());
+}
+
+TEST(RecoveryDelta, MirrorSnapshotCacheKeyedOnCursorAndN) {
+  MirrorFixture f;
+  CountMirror m;
+  std::string err;
+  ASSERT_EQ(m.apply(0, 1, encode(f.party.checkpoint()), 1, 3, err),
+            MirrorApply::kFull);
+  bool hit = true;
+  expect_same(m.snapshots(MirrorFixture::kWindow, 0, hit),
+              f.party.snapshots(MirrorFixture::kWindow));
+  EXPECT_FALSE(hit);
+  (void)m.snapshots(MirrorFixture::kWindow, 0, hit);
+  EXPECT_TRUE(hit);
+  // An "unchanged" echo keeps the cache.
+  ASSERT_EQ(m.apply(1, 1, Bytes{}, 1, 3, err), MirrorApply::kUnchanged);
+  (void)m.snapshots(MirrorFixture::kWindow, 0, hit);
+  EXPECT_TRUE(hit);
+
+  // Another n rebuilds (and matches the live party), then hits.
+  expect_same(m.snapshots(100, 0, hit), f.party.snapshots(100));
+  EXPECT_FALSE(hit);
+  (void)m.snapshots(100, 0, hit);
+  EXPECT_TRUE(hit);
+
+  // A delta moves the cursor: rebuild at the same n.
+  const auto base = f.party.checkpoint();
+  f.ingest(50);
+  ASSERT_EQ(m.apply(1, 2, encode_delta(base, f.party.checkpoint()), 1, 3, err),
+            MirrorApply::kDelta);
+  expect_same(m.snapshots(100, 0, hit), f.party.snapshots(100));
+  EXPECT_FALSE(hit);
+
+  // Same generation keeps everything; a new one drops the mirror.
+  EXPECT_FALSE(m.resync(1));
+  EXPECT_EQ(m.cursor(), 2u);
+  EXPECT_TRUE(m.resync(2));
+  EXPECT_EQ(m.cursor(), 0u);
+}
+
+TEST(RecoveryDelta, MirrorRejectsInstanceCountMismatch) {
+  MirrorFixture f;  // three instances
+  CountMirror m;
+  std::string err;
+  EXPECT_EQ(m.apply(0, 1, encode(f.party.checkpoint()), 1, 4, err),
+            MirrorApply::kRejected);
+  EXPECT_EQ(m.cursor(), 0u);
+  ASSERT_EQ(m.apply(0, 1, encode(f.party.checkpoint()), 1, 3, err),
+            MirrorApply::kFull);
+
+  // A rebase carrying another instance count is rejected and the held
+  // state survives it.
+  distributed::CountParty other({.eps = 0.3, .window = MirrorFixture::kWindow,
+                                 .c = 8},
+                                2, 42);
+  EXPECT_EQ(m.apply(0, 2, encode(other.checkpoint()), 1, 3, err),
+            MirrorApply::kRejected);
+  EXPECT_NE(err.find("instances"), std::string::npos) << err;
+  EXPECT_EQ(m.cursor(), 1u);
+  expect_same(m.base(), f.party.checkpoint());
 }
 
 // -- live O(change) count-delta encoder ------------------------------------
@@ -749,6 +904,93 @@ TEST(NetDelta, RestartDropsMirrorAndRecoversWithFullFetch) {
   EXPECT_GE(obs::NetClientObs::instance().reconnects.value(),
             reconnects_before + 1);
 #endif
+}
+
+// A client whose delta reply was lost (timeout, reconnect) retries the
+// same since_cursor. With nothing ingested in between, the party re-ships
+// the identical body from its retry cache instead of a full resync, and
+// the body still applies to the mirror the client kept.
+template <class Mirror, class Party, class Ingest>
+void expect_retry_reships_identical_body(Party& party, PartyRole role,
+                                         Ingest&& ingest) {
+  PartyServer server(ServerConfig{}, &party);
+  ASSERT_TRUE(server.start());
+  const auto dl = [] {
+    return deadline_in(std::chrono::milliseconds(2000));
+  };
+  Socket sock = tcp_connect("127.0.0.1", server.port(), dl());
+  ASSERT_TRUE(sock.valid());
+  Frame frame;
+  ASSERT_TRUE(write_frame(sock, MsgType::kHello, Hello{1}.encode(), dl()));
+  ASSERT_EQ(read_frame(sock, frame, dl()), ReadStatus::kOk);
+  ASSERT_EQ(frame.type, MsgType::kHelloAck);
+
+  std::uint64_t next_id = 1;
+  const auto ask = [&](std::uint64_t since, DeltaReply& r) {
+    SnapshotRequest req;
+    req.request_id = next_id++;
+    req.role = role;
+    req.n = kWindow;
+    req.delta_capable = true;
+    req.since_cursor = since;
+    ASSERT_TRUE(write_frame(sock, MsgType::kSnapshotRequest, req.encode(),
+                            dl()));
+    ASSERT_EQ(read_frame(sock, frame, dl()), ReadStatus::kOk);
+    ASSERT_EQ(frame.type, MsgType::kDeltaReply);
+    ASSERT_TRUE(DeltaReply::decode(frame.payload, r));
+    ASSERT_EQ(r.request_id, req.request_id);
+  };
+
+  Mirror mirror;
+  std::string err;
+  DeltaReply boot;
+  ask(0, boot);
+  ASSERT_EQ(boot.base_cursor, 0u);
+  ASSERT_EQ(mirror.apply(boot.base_cursor, boot.cursor, boot.body, 0,
+                         kInstances, err),
+            recovery::MirrorApply::kFull)
+      << err;
+
+  ingest();
+  DeltaReply lost;
+  ask(boot.cursor, lost);
+  EXPECT_EQ(lost.base_cursor, boot.cursor);
+  EXPECT_FALSE(lost.body.empty());
+
+  DeltaReply retried;
+  ask(boot.cursor, retried);
+  EXPECT_EQ(retried.base_cursor, lost.base_cursor);
+  EXPECT_EQ(retried.cursor, lost.cursor);
+  EXPECT_EQ(retried.body, lost.body);
+
+  ASSERT_EQ(mirror.apply(retried.base_cursor, retried.cursor, retried.body,
+                         0, kInstances, err),
+            recovery::MirrorApply::kDelta)
+      << err;
+  EXPECT_EQ(recovery::encode(mirror.base()),
+            recovery::encode(party.checkpoint()));
+}
+
+TEST(NetDelta, CountRetryOfSameCursorReshipsIdenticalBody) {
+  distributed::CountParty party(count_params(), kInstances, kSeed);
+  stream::BernoulliBits bits(0.3, 81);
+  for (int i = 0; i < 3000; ++i) party.observe(bits.next());
+  expect_retry_reships_identical_body<recovery::CountMirror>(
+      party, PartyRole::kCount,
+      [&] {
+        for (int i = 0; i < 150; ++i) party.observe(bits.next());
+      });
+}
+
+TEST(NetDelta, DistinctRetryOfSameCursorReshipsIdenticalBody) {
+  distributed::DistinctParty party(distinct_params(), kInstances, kSeed);
+  stream::ZipfValues gen(1u << 12, 1.2, 82);
+  for (int i = 0; i < 2500; ++i) party.observe(gen.next());
+  expect_retry_reships_identical_body<recovery::DistinctMirror>(
+      party, PartyRole::kDistinct,
+      [&] {
+        for (int i = 0; i < 120; ++i) party.observe(gen.next());
+      });
 }
 
 TEST(NetDelta, DisconnectAllKeepsMirrorsAcrossReconnect) {

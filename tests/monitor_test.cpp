@@ -77,6 +77,17 @@ std::vector<util::PackedBitStream> test_bit_streams() {
       stream::correlated_streams(base, kParties, 0.05, 6));
 }
 
+/// Per-party value streams for the distinct role, values in [0..max_value].
+std::vector<std::vector<std::uint64_t>> test_value_streams() {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (int j = 0; j < kParties; ++j) {
+    stream::UniformValues gen(0, distinct_params().max_value,
+                              500 + static_cast<std::uint64_t>(j));
+    out.push_back(stream::take(gen, kItems));
+  }
+  return out;
+}
+
 /// Connect + Hello handshake + kSubscribe; the caller reads the pushes.
 net::Socket open_subscription(std::uint16_t port, net::PartyRole role,
                               std::uint64_t n, double slack,
@@ -446,15 +457,18 @@ TEST(MonitorProtocol, OverloadedErrCodeRoundTrip) {
 // ---------------------------------------------------------------------------
 // Live push subscriptions against PartyServer.
 
-TEST(MonitorPush, CountChainFullThenDeltaMatchesCheckpoints) {
-  const auto streams = test_bit_streams();
-  distributed::CountParty party(count_params(), kInstances, kSeed);
+// Shared body of the push-chain tests: the ack is a self-contained full
+// body of the party's checkpoint, and the first drift push is a delta
+// against it that reproduces the new checkpoint byte-for-byte.
+template <class Party, class Streams>
+void expect_push_chain_full_then_delta(Party& party, net::PartyRole role,
+                                       const Streams& streams) {
+  using Checkpoint = decltype(party.checkpoint());
   party.observe_batch(streams[0]);
   net::PartyServer server(net::ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
 
-  net::Socket sock =
-      open_subscription(server.port(), net::PartyRole::kCount, kWindow, 50);
+  net::Socket sock = open_subscription(server.port(), role, kWindow, 50);
 
   // The ack: seq 1, self-contained full body that decodes to exactly the
   // party's current checkpoint.
@@ -463,9 +477,9 @@ TEST(MonitorPush, CountChainFullThenDeltaMatchesCheckpoints) {
   EXPECT_EQ(first.seq, 1u);
   EXPECT_EQ(first.base_cursor, 0u);
   EXPECT_NE(first.cursor, 0u);
-  EXPECT_EQ(first.role, net::PartyRole::kCount);
+  EXPECT_EQ(first.role, role);
   EXPECT_EQ(first.items_observed, party.items_observed());
-  distributed::CountPartyCheckpoint base;
+  Checkpoint base;
   ASSERT_TRUE(recovery::decode(first.body, base));
   EXPECT_EQ(recovery::encode(base), recovery::encode(party.checkpoint()));
 
@@ -477,9 +491,21 @@ TEST(MonitorPush, CountChainFullThenDeltaMatchesCheckpoints) {
   EXPECT_EQ(second.seq, 2u);
   EXPECT_EQ(second.base_cursor, first.cursor);
   EXPECT_NE(second.cursor, first.cursor);
-  distributed::CountPartyCheckpoint applied;
+  Checkpoint applied;
   ASSERT_TRUE(recovery::apply_delta_into(base, second.body, applied));
   EXPECT_EQ(recovery::encode(applied), recovery::encode(party.checkpoint()));
+}
+
+TEST(MonitorPush, CountChainFullThenDeltaMatchesCheckpoints) {
+  distributed::CountParty party(count_params(), kInstances, kSeed);
+  expect_push_chain_full_then_delta(party, net::PartyRole::kCount,
+                                    test_bit_streams());
+}
+
+TEST(MonitorPush, DistinctChainFullThenDeltaMatchesCheckpoints) {
+  distributed::DistinctParty party(distinct_params(), kInstances, kSeed);
+  expect_push_chain_full_then_delta(party, net::PartyRole::kDistinct,
+                                    test_value_streams());
 }
 
 TEST(MonitorPush, QuiescentAndSubSlackDriftStaySilent) {
@@ -709,15 +735,21 @@ HubEstimate wait_until(const MonitorHub& hub, Pred pred,
   return est;
 }
 
-TEST(MonitorHub, CountParityWithPollingRefereeThenFailClosed) {
-  const auto streams = test_bit_streams();
-  std::vector<std::unique_ptr<distributed::CountParty>> owners;
-  std::vector<const distributed::CountParty*> query;
+// Shared body of the hub parity tests: with every leg live the pushed
+// estimate is bit-identical to `direct` (the in-process referee over the
+// same party states, through the same combine), it follows the parties as
+// they drift, and it fails closed when a leg dies.
+template <class Party, class Params, class Streams, class Direct>
+void expect_hub_parity_then_fail_closed(net::PartyRole role,
+                                        const Params& params,
+                                        const Streams& streams,
+                                        Direct&& direct) {
+  std::vector<std::unique_ptr<Party>> owners;
+  std::vector<const Party*> query;
   std::vector<std::unique_ptr<net::PartyServer>> servers;
   std::vector<net::Endpoint> endpoints;
   for (int j = 0; j < kParties; ++j) {
-    owners.push_back(std::make_unique<distributed::CountParty>(
-        count_params(), kInstances, kSeed));
+    owners.push_back(std::make_unique<Party>(params, kInstances, kSeed));
     owners.back()->observe_batch(streams[static_cast<std::size_t>(j)]);
     query.push_back(owners.back().get());
     servers.push_back(std::make_unique<net::PartyServer>(net::ServerConfig{},
@@ -726,35 +758,35 @@ TEST(MonitorHub, CountParityWithPollingRefereeThenFailClosed) {
     endpoints.push_back({"127.0.0.1", servers.back()->port()});
   }
 
-  MonitorHub hub(hub_config(endpoints, net::PartyRole::kCount));
+  MonitorHub hub(hub_config(endpoints, role));
   ASSERT_TRUE(hub.start());
 
   // All legs up: the pushed estimate is bit-identical to a poll of the
   // same party states through the same combine.
-  const core::Estimate direct = distributed::union_count(query, kWindow);
+  const core::Estimate before = direct(query);
   HubEstimate est = wait_until(hub, [&](const HubEstimate& e) {
     return e.status == distributed::QueryStatus::kOk &&
-           e.value == direct.value;
+           e.value == before.value;
   });
   ASSERT_EQ(est.status, distributed::QueryStatus::kOk);
-  EXPECT_EQ(est.value, direct.value);
+  EXPECT_EQ(est.value, before.value);
   EXPECT_EQ(est.missing, 0u);
 
-  // Drift every party past its slack (the positionwise union is only
-  // defined over aligned streams, so all parties must advance together):
-  // the hub converges to the new truth without any polling.
+  // Drift every party past its slack (the hub merges only aligned mirrors,
+  // so all parties must advance together): the hub converges to the new
+  // truth without any polling.
   for (int j = 0; j < kParties; ++j) {
     owners[static_cast<std::size_t>(j)]->observe_batch(
         streams[static_cast<std::size_t>((j + 1) % kParties)]);
   }
-  const core::Estimate moved = distributed::union_count(query, kWindow);
+  const core::Estimate moved = direct(query);
   est = wait_until(hub, [&](const HubEstimate& e) {
     return e.status == distributed::QueryStatus::kOk &&
            e.value == moved.value;
   });
   EXPECT_EQ(est.value, moved.value);
 
-  // Union counting fails closed when a leg dies (quorum rule).
+  // The randomized roles fail closed when a leg dies (quorum rule).
   servers[1]->stop();
   est = wait_until(hub, [](const HubEstimate& e) {
     return e.status == distributed::QueryStatus::kFailed;
@@ -763,6 +795,22 @@ TEST(MonitorHub, CountParityWithPollingRefereeThenFailClosed) {
   EXPECT_EQ(est.missing, 1u);
 
   hub.stop();
+}
+
+TEST(MonitorHub, CountParityWithPollingRefereeThenFailClosed) {
+  expect_hub_parity_then_fail_closed<distributed::CountParty>(
+      net::PartyRole::kCount, count_params(), test_bit_streams(),
+      [](const std::vector<const distributed::CountParty*>& parties) {
+        return distributed::union_count(parties, kWindow);
+      });
+}
+
+TEST(MonitorHub, DistinctParityWithPollingRefereeThenFailClosed) {
+  expect_hub_parity_then_fail_closed<distributed::DistinctParty>(
+      net::PartyRole::kDistinct, distinct_params(), test_value_streams(),
+      [](const std::vector<const distributed::DistinctParty*>& parties) {
+        return distributed::distinct_count(parties, kWindow);
+      });
 }
 
 TEST(MonitorHub, SumDegradesWithWidenedErrorOnDeadLeg) {

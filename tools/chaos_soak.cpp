@@ -23,14 +23,21 @@
 //   4. After the chaos window closes, the fleet returns to all-healthy,
 //      a settled poll equals the oracle exactly, and the hub re-converges.
 //
-// The chaos schedule is a pure function of --seed (splitmix64): each tick
-// draws one action — kill -9 a party, SIGSTOP it (the supervisor's probe
-// misses must SIGKILL + restart it), corrupt a byte of its checkpoint.bin
-// (the CRC envelope must reject it on the next restore), or nothing. A
-// per-party cooldown keeps the schedule below the supervisor's crash-loop
-// threshold, so a PASS also certifies crash-loop detection did not
-// misfire. Client-side WAVES_FAULTS-style corruption is armed in-process
-// (--faults), so the poll and hub legs also see a hostile network.
+// The chaos schedule is a pure function of (--seed, --duration): the run
+// is a fixed duration / 200 ms ticks, and each tick draws one action from
+// splitmix64 — kill -9 a party, SIGSTOP it (the supervisor's probe misses
+// must SIGKILL + restart it), corrupt a byte of its checkpoint.bin (the
+// CRC envelope must reject it on the next restore), or nothing. A
+// per-party cooldown of 15 ticks (each tick sleeps 200 ms, so at least
+// 3 s) keeps the schedule below the supervisor's crash-loop threshold, so
+// a PASS also certifies crash-loop detection did not misfire. The
+// "CHAOS SCHEDULE" line prints the admitted actions, which replay exactly
+// from the same seed and duration; the delivered counts beside them can
+// fall short when a party is mid-restart (no pid to signal, no checkpoint
+// yet), and the supervisor's own `reason=unresponsive` restarts depend on
+// probe timing, so neither of those replays exactly. Client-side
+// WAVES_FAULTS-style corruption is armed in-process (--faults), so the
+// poll and hub legs also see a hostile network.
 //
 // Prints FLEET/CHAOS lines, then "CHAOS SOAK PASS seed=S" and exits 0
 // iff zero invariant violations; any violation prints a CHAOS VIOLATION
@@ -132,7 +139,17 @@ std::optional<Options> parse(int argc, char** argv) {
   return o;
 }
 
+// One chaos draw per tick; each tick ends with a 200 ms sleep.
+constexpr auto kTick = std::chrono::milliseconds(200);
+// Ticks a party rests after an admitted action: >= 3 s of sleeps alone.
+constexpr int kCooldownTicks = 15;
+
 struct ChaosStats {
+  // Admitted by the schedule: a pure function of (seed, duration).
+  int admitted_kills = 0;
+  int admitted_stalls = 0;
+  int admitted_corruptions = 0;
+  // Delivered: the signal or the corruption actually landed.
   int kills = 0;
   int stalls = 0;
   int corruptions = 0;
@@ -338,36 +355,36 @@ int main(int argc, char** argv) {
   // ---- Seeded chaos schedule.
   gf2::SplitMix64 rng(o.seed);
   ChaosStats st;
-  std::vector<Clock::time_point> cooled(
-      static_cast<std::size_t>(o.parties),
-      Clock::now() - std::chrono::seconds(10));
+  std::vector<int> cooled(static_cast<std::size_t>(o.parties),
+                          -kCooldownTicks);
   std::vector<long> stalled;
   const double query_budget_s =
       static_cast<double>(o.parties) *
           std::chrono::duration<double>(ccfg.total_deadline).count() +
       1.0;  // scheduling + merge slop
   const double eps_budget = o.eps * static_cast<double>(o.window);
-  const auto t_end =
-      Clock::now() + std::chrono::milliseconds(
-                         static_cast<std::int64_t>(o.duration * 1000.0));
+  const int ticks = static_cast<int>(
+      o.duration * 1000.0 / static_cast<double>(kTick.count()));
 
-  while (Clock::now() < t_end) {
+  for (int tick = 0; tick < ticks; ++tick) {
     // One chaos draw. The rng is consumed identically whether or not the
-    // action fires, so the schedule is a pure function of the seed.
+    // action fires, and the cooldown counts ticks, not wall time, so what
+    // the schedule admits is a pure function of the seed and the duration.
     const std::uint64_t action = rng.next() % 8;
     const auto target = static_cast<std::size_t>(
         rng.next() % static_cast<std::uint64_t>(o.parties));
     const std::uint64_t detail = rng.next();
-    const bool cool =
-        Clock::now() - cooled[target] > std::chrono::milliseconds(3000);
-    if (cool && action <= 2) cooled[target] = Clock::now();
+    const bool cool = tick - cooled[target] >= kCooldownTicks;
+    if (cool && action <= 2) cooled[target] = tick;
     if (cool && action == 0) {
+      ++st.admitted_kills;
       const long pid = sup.pid_of(target);
       if (pid > 0 && ::kill(static_cast<pid_t>(pid), SIGKILL) == 0) {
         ++st.kills;
         std::printf("CHAOS KILL party=%zu pid=%ld\n", target, pid);
       }
     } else if (cool && action == 1) {
+      ++st.admitted_stalls;
       const long pid = sup.pid_of(target);
       if (pid > 0 && ::kill(static_cast<pid_t>(pid), SIGSTOP) == 0) {
         ++st.stalls;
@@ -375,6 +392,7 @@ int main(int argc, char** argv) {
         std::printf("CHAOS STALL party=%zu pid=%ld\n", target, pid);
       }
     } else if (cool && action == 2) {
+      ++st.admitted_corruptions;
       if (corrupt_checkpoint(root + "/p" + std::to_string(target), detail)) {
         ++st.corruptions;
         std::printf("CHAOS CORRUPT party=%zu\n", target);
@@ -414,7 +432,7 @@ int main(int argc, char** argv) {
                           std::to_string(oracle.estimate.value));
       }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::this_thread::sleep_for(kTick);
   }
 
   // ---- Drain the chaos: wake stalled processes, settle, re-verify.
@@ -469,6 +487,10 @@ int main(int argc, char** argv) {
   hub.stop();
   sup.stop();
 
+  std::printf(
+      "CHAOS SCHEDULE seed=%llu ticks=%d kills=%d stalls=%d corruptions=%d\n",
+      static_cast<unsigned long long>(o.seed), ticks, st.admitted_kills,
+      st.admitted_stalls, st.admitted_corruptions);
   std::printf(
       "CHAOS SOAK kills=%d stalls=%d corruptions=%d queries=%d ok=%d "
       "failed=%d hub_checks=%d violations=%d\n",
