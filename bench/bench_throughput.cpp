@@ -2,7 +2,9 @@
 // throughput vs party/thread count, query cost vs t and eps, and raw
 // single-structure update rates (google-benchmark). Experiment E15:
 // per-bit observe() vs packed-word batch ingest (observe_words), across
-// stream densities and batch sizes. `--smoke` shrinks stream sizes for CI.
+// stream densities and batch sizes; E15c: the Sec. 4.1 level hash's cost
+// per set bit, Field::mul oracle vs byte tables vs word-sliced levels.
+// `--smoke` shrinks stream sizes for CI.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "distributed/ingest_driver.hpp"
 #include "distributed/party.hpp"
 #include "distributed/referee.hpp"
+#include "gf2/shared_randomness.hpp"
 #include "stream/generators.hpp"
 #include "util/bitops.hpp"
 #include "util/simd.hpp"
@@ -271,6 +274,96 @@ void batched_ingest_table(bool smoke) {
   }
 }
 
+// h(p) by its definition: x = q*p + r through Field::mul (the oracle the
+// byte tables are tested against), then the leading-zero level.
+int oracle_level(const gf2::Field& f, const gf2::ExpHash& h, std::uint64_t p) {
+  const std::uint64_t x = f.add(f.mul(h.q(), p & f.order_mask()), h.r());
+  return x == 0 ? f.dimension() : f.dimension() - util::msb_index(x) - 1;
+}
+
+void hash_cost_table(bool smoke) {
+  bench::header(
+      "E15c: level hash cost per set bit — Field::mul oracle vs byte "
+      "tables (ExpHash::level) vs word-sliced (ExpHash::for_each_level)");
+  bench::row_line({"d", "oracle_ns", "table_ns", "sliced_ns", "table_KiB",
+                   "parity"});
+  // Density-0.5 words at positions 1 + 64w, as RandWave::update_words
+  // sees them from a word-aligned stream.
+  const std::size_t nbits = smoke ? (1u << 16) : (1u << 20);
+  stream::BernoulliBits gen(0.5, 44);
+  const util::PackedBitStream packed = stream::take_packed(gen, nbits);
+  const auto words = packed.words();
+  const auto ones = static_cast<double>(packed.ones());
+  // Runs `levels(first, word, sink)` over every word; ns per set bit.
+  const auto time_path = [&](auto&& levels) {
+    std::uint64_t sink = 0;
+    bench::Stopwatch sw;
+    sw.start();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      levels(1 + 64 * static_cast<std::uint64_t>(w), words[w], sink);
+    }
+    const double ns = sw.seconds() * 1e9 / ones;
+    benchmark::DoNotOptimize(sink);
+    return ns;
+  };
+  for (const int d : {15, 21, 33, 64}) {
+    const gf2::Field f(d);
+    gf2::SharedRandomness coins(static_cast<std::uint64_t>(d));
+    const gf2::ExpHash h = coins.draw_hash(f);
+    // Parity: 2^16 consecutive positions from an arbitrary start, all three
+    // paths against each other.
+    const std::uint64_t start = coins.draw_word();
+    bool parity = true;
+    for (std::uint64_t w = 0; w < (1u << 16) / 64; ++w) {
+      const std::uint64_t first = start + 64 * w;
+      h.for_each_level(first, ~std::uint64_t{0}, [&](int b, int level) {
+        const std::uint64_t p = first + static_cast<std::uint64_t>(b);
+        const int want = oracle_level(f, h, p);
+        parity = parity && level == want && h.level(p) == want;
+      });
+    }
+    const auto per_bit = [](auto&& level_of) {
+      return [level_of](std::uint64_t first, std::uint64_t word,
+                        std::uint64_t& sink) {
+        while (word != 0) {
+          const int b = util::lsb_index(word);
+          word &= word - 1;
+          sink += static_cast<std::uint64_t>(
+              level_of(first + static_cast<std::uint64_t>(b)));
+        }
+      };
+    };
+    const double oracle_ns = time_path(
+        per_bit([&f, &h](std::uint64_t p) { return oracle_level(f, h, p); }));
+    const double table_ns =
+        time_path(per_bit([&h](std::uint64_t p) { return h.level(p); }));
+    const double sliced_ns = time_path(
+        [&h](std::uint64_t first, std::uint64_t word, std::uint64_t& sink) {
+          h.for_each_level(first, word, [&sink](int, int level) {
+            sink += static_cast<std::uint64_t>(level);
+          });
+        });
+    const double kib = static_cast<double>(h.table_bytes()) / 1024.0;
+    bench::row_line({bench::fmt_u(static_cast<std::uint64_t>(d)),
+                     bench::fmt(oracle_ns, 1), bench::fmt(table_ns, 2),
+                     bench::fmt(sliced_ns, 2), bench::fmt(kib, 0),
+                     parity ? "1" : "0"});
+    bench::JsonLine("e15c_hash_cost")
+        .field("d", static_cast<std::uint64_t>(d))
+        .field("oracle_ns_per_bit", oracle_ns)
+        .field("table_ns_per_bit", table_ns)
+        .field("sliced_ns_per_bit", sliced_ns)
+        .field("table_bytes", static_cast<std::uint64_t>(h.table_bytes()))
+        .field("parity", std::uint64_t{parity})
+        .emit();
+  }
+  std::printf(
+      "Expected shape: the oracle grows with d (bit-serial multiply and "
+      "reduction);\nthe table path costs ceil(d/8) lookups per bit and the "
+      "word-sliced path one\nlookup per bit plus two table products per "
+      "word. parity = 1: all three agree\non 2^16 consecutive positions.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -292,5 +385,6 @@ int main(int argc, char** argv) {
   parallel_ingest_table(smoke);
   query_cost_table();
   batched_ingest_table(smoke);
+  hash_cost_table(smoke);
   return 0;
 }

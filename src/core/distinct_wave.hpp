@@ -103,6 +103,9 @@ class DistinctWave {
     std::uint64_t evicted_bound = 0;  // largest capacity-evicted position
   };
 
+  // The field may be wider than the level count (values can need more
+  // bits than the universe, see field_dimension()), so hash levels above
+  // d_ collapse into the top level.
   [[nodiscard]] int level_of_value(std::uint64_t v) const noexcept {
     const int l = hash_.level(v);
     return l > d_ ? d_ : l;

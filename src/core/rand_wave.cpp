@@ -47,7 +47,6 @@ std::size_t queue_cap(double eps, std::uint64_t c) {
 RandWave::RandWave(const Params& params, const gf2::Field& field,
                    gf2::SharedRandomness& coins)
     : params_(params),
-      mask_(field.order_mask()),
       d_(field.dimension()),
       cap_(queue_cap(params.eps, params.c)),
       hash_(coins.draw_hash(field)) {
@@ -69,7 +68,7 @@ void RandWave::update(bool bit) {
   // levels are swept too.
   if (pos_ > params_.window) {
     const std::uint64_t pexp = pos_ - params_.window;  // now outside
-    const int hl = level_of_position(pexp);
+    const int hl = hash_.level(pexp);
     for (int l = 0; l <= hl; ++l) {
       auto& q = queues_[static_cast<std::size_t>(l)];
       while (!q.empty() && q.tail() <= pexp) {
@@ -80,7 +79,7 @@ void RandWave::update(bool bit) {
   }
   if (!bit) return;
   // Step 3: select into levels 0..h(pos).
-  const int hl = level_of_position(pos_);
+  const int hl = hash_.level(pos_);
   obs_.on_promotion(static_cast<std::uint64_t>(hl) + 1);
   for (int l = 0; l <= hl; ++l) {
     auto& q = queues_[static_cast<std::size_t>(l)];
@@ -120,15 +119,14 @@ void RandWave::update_words(std::span<const std::uint64_t> words,
       if (remaining == 0) break;
     }
     const int valid = remaining < 64 ? static_cast<int>(remaining) : 64;
-    std::uint64_t w = words[wi] & util::low_bits_mask(valid);
+    const std::uint64_t w = words[wi] & util::low_bits_mask(valid);
     const std::uint64_t base = pos_;
-    while (w != 0) {
-      const int b = util::lsb_index(w);
-      w &= w - 1;
+    // Bit b of the word is position base + 1 + b; the hash levels of a
+    // word's set bits come word-sliced (ExpHash::for_each_level).
+    hash_.for_each_level(base + 1, w, [&](int b, int hl) {
       pos_ = base + static_cast<std::uint64_t>(b) + 1;
       const std::uint64_t pexp =
           pos_ > params_.window ? pos_ - params_.window : 0;
-      const int hl = level_of_position(pos_);
       promotions += static_cast<std::uint64_t>(hl) + 1;
       for (int l = 0; l <= hl; ++l) {
         auto& q = queues_[static_cast<std::size_t>(l)];
@@ -139,7 +137,7 @@ void RandWave::update_words(std::span<const std::uint64_t> words,
           if (*evicted > bound) bound = *evicted;
         }
       }
-    }
+    });
     pos_ = base + static_cast<std::uint64_t>(valid);
     remaining -= static_cast<std::uint64_t>(valid);
     ++wi;

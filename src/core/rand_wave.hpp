@@ -109,13 +109,7 @@ class RandWave {
   void restore(const RandWaveCheckpoint& ck);
 
  private:
-  [[nodiscard]] int level_of_position(std::uint64_t p) const noexcept {
-    const int l = hash_.level(p & mask_);
-    return l > d_ ? d_ : l;
-  }
-
   Params params_;
-  std::uint64_t mask_;  // N' - 1
   int d_;               // log2 N'
   std::size_t cap_;
   gf2::ExpHash hash_;

@@ -46,8 +46,9 @@ class SharedRandomness {
 
   /// Draw the (q, r) pair for one hash instance over `field`. Consecutive
   /// calls yield the independent instances used by the median estimator;
-  /// parties sharing a seed and call order share hash functions.
-  ExpHash draw_hash(const Field& field) noexcept {
+  /// parties sharing a seed and call order share hash functions. Builds the
+  /// hash's byte tables, so it may throw std::bad_alloc.
+  ExpHash draw_hash(const Field& field) {
     const std::uint64_t q = draw_word();
     const std::uint64_t r = draw_word();
     return ExpHash(field, q, r);

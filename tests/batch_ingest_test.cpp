@@ -298,6 +298,44 @@ TEST(BatchIngest, RandWaveBitExact) {
   }
 }
 
+TEST(BatchIngest, RandWaveWordSlicedEveryDimensionAndOffset) {
+  // Windows 1, 2, 4, ..., 64 give d = 1..7 (d < 6: a field narrower than a
+  // word) and 2^20 gives d = 21. Batch lengths are 1 mod 64, so batch k
+  // starts at offset k mod 64 and each batch straddles 64-aligned blocks.
+  for (const std::uint64_t window :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{4}, std::uint64_t{8},
+        std::uint64_t{16}, std::uint64_t{32}, std::uint64_t{64},
+        std::uint64_t{1} << 20}) {
+    const int d = util::floor_log2(util::next_pow2_at_least(2 * window));
+    const gf2::Field f(d);
+    gf2::SharedRandomness coins_a(91), coins_b(91);
+    const core::RandWave::Params params{.eps = 0.3, .window = window, .c = 8};
+    core::RandWave ref(params, f, coins_a), bat(params, f, coins_b);
+    const auto bits =
+        random_bits(64 * 130, 0.6, 53 + static_cast<std::uint64_t>(d));
+    std::uint64_t offsets_seen = 0;
+    std::size_t i = 0;
+    for (int k = 0; i < bits.size(); ++k) {
+      offsets_seen |= std::uint64_t{1} << (i % 64);
+      const std::size_t len =
+          std::min<std::size_t>(k % 2 == 0 ? 65 : 193, bits.size() - i);
+      util::PackedBitStream batch;
+      for (std::size_t j = i; j < i + len; ++j) {
+        ref.update(bits[j]);
+        batch.append(bits[j]);
+      }
+      bat.update_batch(batch);
+      i += len;
+      const auto ca = ref.checkpoint();
+      const auto cb = bat.checkpoint();
+      ASSERT_EQ(ca.pos, cb.pos) << "d=" << d;
+      ASSERT_EQ(ca.queues, cb.queues) << "d=" << d << " pos " << ca.pos;
+      ASSERT_EQ(ca.evicted_bounds, cb.evicted_bounds) << "d=" << d;
+    }
+    EXPECT_EQ(offsets_seen, ~std::uint64_t{0}) << "d=" << d;
+  }
+}
+
 TEST(BatchIngest, DistinctWaveBatchEquivalent) {
   const std::uint64_t window = 256;
   const core::DistinctWave::Params params{

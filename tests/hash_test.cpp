@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gf2/shared_randomness.hpp"
+#include "util/bitops.hpp"
 
 namespace waves::gf2 {
 namespace {
@@ -90,6 +91,119 @@ TEST(ExpHash, PairwiseIndependenceEmpirical) {
   EXPECT_NEAR(pa, 0.5, 0.02);
   EXPECT_NEAR(pb, 0.5, 0.02);
   EXPECT_NEAR(pab, pa * pb, 0.02);
+}
+
+// ---------------------------------------------- Field::mul oracle --
+//
+// ExpHash evaluates h(p) through byte tables; these tests pin it to the
+// definition, x = q*p + r computed with Field::mul, for every d in [1, 64].
+
+std::uint64_t oracle_value(const Field& f, std::uint64_t q, std::uint64_t r,
+                           std::uint64_t p) {
+  const std::uint64_t m = f.order_mask();
+  return f.add(f.mul(q & m, p & m), r & m);
+}
+
+int oracle_level(const Field& f, std::uint64_t x) {
+  const int d = f.dimension();
+  return x == 0 ? d : d - util::msb_index(x) - 1;
+}
+
+// Asserts value(p) and level(p) equal the oracle's.
+void expect_oracle(const Field& f, const ExpHash& h, std::uint64_t p) {
+  const std::uint64_t x = oracle_value(f, h.q(), h.r(), p);
+  ASSERT_EQ(h.value(p), x) << "d=" << f.dimension() << " p=" << p;
+  ASSERT_EQ(h.level(p), oracle_level(f, x))
+      << "d=" << f.dimension() << " p=" << p;
+}
+
+TEST(ExpHash, TablesMatchFieldMulOracleForEveryDimension) {
+  SplitMix64 rng(2024);
+  for (int d = 1; d <= 64; ++d) {
+    const Field f(d);
+    for (int inst = 0; inst < 8; ++inst) {
+      const std::uint64_t q = rng.next();
+      const std::uint64_t r = rng.next();
+      const ExpHash h(f, q, r);
+      ASSERT_EQ(h.q(), q & f.order_mask());
+      ASSERT_EQ(h.r(), r & f.order_mask());
+      for (int i = 0; i < 256; ++i) {
+        expect_oracle(f, h, rng.next() & f.order_mask());
+      }
+    }
+  }
+}
+
+TEST(ExpHash, BitsAboveDimensionAreIgnored) {
+  SplitMix64 rng(77);
+  for (int d = 1; d <= 64; ++d) {
+    const Field f(d);
+    const ExpHash h(f, rng.next(), rng.next());
+    for (int i = 0; i < 256; ++i) {
+      const std::uint64_t p = rng.next() | ~f.order_mask();
+      expect_oracle(f, h, p);
+      ASSERT_EQ(h.value(p), h.value(p & f.order_mask())) << "d=" << d;
+    }
+  }
+}
+
+TEST(ExpHash, DomainEndpointsMatchOracle) {
+  SplitMix64 rng(5);
+  for (int d = 1; d <= 64; ++d) {
+    const Field f(d);
+    for (int inst = 0; inst < 8; ++inst) {
+      const ExpHash h(f, rng.next(), rng.next());
+      expect_oracle(f, h, 0);
+      expect_oracle(f, h, f.order_mask());
+    }
+  }
+}
+
+TEST(ExpHash, ZeroCoinsGiveTopLevelEverywhere) {
+  SplitMix64 rng(6);
+  for (int d = 1; d <= 64; ++d) {
+    const Field f(d);
+    const ExpHash h(f, 0, 0);
+    for (const std::uint64_t p : {std::uint64_t{0}, f.order_mask(), rng.next(),
+                                  rng.next(), ~std::uint64_t{0}}) {
+      ASSERT_EQ(h.value(p), 0u) << "d=" << d;
+      ASSERT_EQ(h.level(p), d) << "d=" << d;
+      expect_oracle(f, h, p);
+    }
+  }
+}
+
+TEST(ExpHash, WordSlicedLevelsMatchPerPosition) {
+  // for_each_level(first, word) must report level(first + b) for exactly
+  // the set bits b of word, in ascending order, at every offset of first
+  // within its 64-aligned block (d < 6 included: narrower than a word).
+  SplitMix64 rng(31);
+  for (int d = 1; d <= 64; ++d) {
+    const Field f(d);
+    const ExpHash h(f, rng.next(), rng.next());
+    for (std::uint64_t off = 0; off < 64; ++off) {
+      const std::uint64_t first = (rng.next() & ~std::uint64_t{63}) + off;
+      const std::uint64_t word = rng.next() | 1 | (std::uint64_t{1} << 63);
+      std::uint64_t seen = 0;
+      int last = -1;
+      h.for_each_level(first, word, [&](int b, int level) {
+        ASSERT_GT(b, last);
+        last = b;
+        seen |= std::uint64_t{1} << b;
+        const std::uint64_t p = first + static_cast<std::uint64_t>(b);
+        ASSERT_EQ(level, oracle_level(f, oracle_value(f, h.q(), h.r(), p)))
+            << "d=" << d << " first=" << first << " b=" << b;
+      });
+      ASSERT_EQ(seen, word) << "d=" << d << " off=" << off;
+    }
+  }
+}
+
+TEST(ExpHash, TablesAreCeilDOver8Rows) {
+  // 256 entries of 8 bytes per byte of d: 6 KiB at d = 21.
+  EXPECT_EQ(ExpHash(Field(21), 3, 4).table_bytes(), 6144u);
+  EXPECT_EQ(ExpHash(Field(1), 3, 4).table_bytes(), 2048u);
+  EXPECT_EQ(ExpHash(Field(64), 3, 4).table_bytes(), 16384u);
 }
 
 TEST(SharedRandomness, BitAccounting) {
