@@ -20,6 +20,9 @@
 
 #include "distributed/party.hpp"
 #include "listeners.hpp"
+#include "loadgen.hpp"
+#include "monitor/hub.hpp"
+#include "net/client.hpp"
 #include "net/conn_loop.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
@@ -614,6 +617,105 @@ TEST(NetConnLoop, StallCloseNeverSplicesIntoAHalfSentFrame) {
   EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
       << "bytes after the half-sent frame's prefix are not its own";
   conns.stop();
+}
+
+
+// ---------------------------------------------------------------------------
+// Thread budget (Threads: in /proc/self/status): both clients run on one
+// loop thread, so a hub holds one thread whatever t is and a referee round
+// starts none.
+
+constexpr int kBudgetParties = 4;
+
+TEST(NetLoopThreads, HubHoldsOneLoopThreadWhateverT) {
+  std::vector<std::unique_ptr<BasicPartyState>> states;
+  std::vector<std::unique_ptr<PartyServer>> servers;
+  std::vector<Endpoint> endpoints;
+  for (int j = 0; j < kBudgetParties; ++j) {
+    states.push_back(std::make_unique<BasicPartyState>(4, 1024));
+    for (int i = 0; i < 2000; ++i) states.back()->observe(i % 3 == 0);
+    servers.push_back(
+        std::make_unique<PartyServer>(ServerConfig{}, states.back().get()));
+    ASSERT_TRUE(servers.back()->start());
+    endpoints.push_back({"127.0.0.1", servers.back()->port()});
+  }
+  const std::uint64_t before = tools::resident_threads();
+  ASSERT_GT(before, 0u);
+
+  monitor::HubConfig cfg;
+  cfg.parties = endpoints;
+  cfg.role = PartyRole::kBasic;
+  cfg.n = 1024;
+  monitor::MonitorHub hub(cfg);
+  ASSERT_TRUE(hub.start());
+  // Every leg subscribed: the merged total needs all four.
+  const auto give_up = Clock::now() + 5s;
+  monitor::HubEstimate est = hub.estimate();
+  while (est.status != distributed::QueryStatus::kOk &&
+         Clock::now() < give_up) {
+    est = hub.wait_revision(est.revision, 50ms);
+  }
+  ASSERT_EQ(est.status, distributed::QueryStatus::kOk);
+  EXPECT_EQ(tools::resident_threads(), before + 1);
+  hub.stop();
+}
+
+TEST(NetLoopThreads, FetchAllStartsNoThread) {
+  // Four fake parties served by one thread: each handshakes and takes its
+  // request, and none answers until all four requests are in — then the
+  // fake samples the process's threads, with the whole fan-out in flight.
+  std::vector<Listener> listeners(kBudgetParties);
+  std::vector<Endpoint> endpoints;
+  for (Listener& l : listeners) {
+    ASSERT_TRUE(l.listen_on("127.0.0.1", 0));
+    endpoints.push_back({"127.0.0.1", l.port()});
+  }
+  ClientConfig ccfg;
+  ccfg.breaker_enabled = false;
+  const RefereeClient client(endpoints, ccfg);  // starts its loop thread
+
+  std::atomic<std::uint64_t> in_flight{0};
+  std::jthread parties([&listeners, &in_flight] {
+    std::vector<Socket> socks;
+    std::vector<std::uint64_t> ids;
+    for (Listener& l : listeners) {
+      Socket s = l.accept_one(soon());
+      Frame f;
+      if (read_frame(s, f, soon()) != ReadStatus::kOk) return;
+      HelloAck ack;
+      ack.role = PartyRole::kBasic;
+      ack.window = 1024;
+      ack.generation = 1;
+      SnapshotRequest req;
+      if (!write_frame(s, MsgType::kHelloAck, ack.encode(), soon()) ||
+          read_frame(s, f, soon()) != ReadStatus::kOk ||
+          !SnapshotRequest::decode(f.payload, req)) {
+        return;
+      }
+      socks.push_back(std::move(s));
+      ids.push_back(req.request_id);
+    }
+    in_flight = tools::resident_threads();
+    for (std::size_t j = 0; j < socks.size(); ++j) {
+      TotalReply rep;
+      rep.request_id = ids[j];
+      rep.generation = 1;
+      rep.value = static_cast<double>(j);
+      rep.exact = true;
+      (void)write_frame(socks[j], MsgType::kTotalReply, rep.encode(), soon());
+    }
+  });
+  const std::uint64_t before = tools::resident_threads();  // parties included
+
+  const std::vector<Fetch> results = client.fetch_all(PartyRole::kBasic, 1024);
+  parties.join();
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kBudgetParties));
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    EXPECT_TRUE(results[j].ok()) << results[j].error;
+    EXPECT_EQ(results[j].total.value, static_cast<double>(j));
+  }
+  EXPECT_GT(before, 0u);
+  EXPECT_EQ(in_flight.load(), before);
 }
 
 }  // namespace
