@@ -4,9 +4,10 @@
 // the hook on every binary linking waves. Instead, binaries that want
 // allocation profiling (wavecli, bench_query) include tools/alloc_hook.hpp,
 // whose global operator new/delete overrides call note_alloc(). Library
-// code measures windows with AllocScope; in a binary without the hook the
-// count stays 0 and every scope reads 0 — a recognizable "not wired up"
-// value rather than a misleading one.
+// code measures windows as differences of these counters (the client's
+// per-fetch counts: net::ClientLeg::Charge); in a binary without the hook
+// the counts stay 0 and every window reads 0 — a recognizable "not wired
+// up" value rather than a misleading one.
 //
 // note_alloc() is called from inside operator new: it must not allocate,
 // lock, or touch anything but the relaxed atomic.
@@ -27,8 +28,10 @@ namespace detail {
 // C++20 constinit inline variables: zero-initialized before any dynamic
 // init, so hooks firing during static construction are safe. The global
 // counter feeds process-wide deltas (bench loops); the thread-local one
-// lets AllocScope attribute allocations to the calling thread even while
-// fetch_all's worker threads allocate concurrently.
+// lets a window count only the calling thread's allocations while other
+// threads allocate concurrently. Work interleaved on one thread (a loop
+// serving many connections) is counted per handler: net::ClientLeg::Charge
+// brackets each one and charges it to the party it ran for.
 inline constinit std::atomic<std::uint64_t> g_alloc_count{0};
 inline constinit thread_local std::uint64_t t_alloc_count = 0;
 }  // namespace detail
@@ -49,31 +52,11 @@ inline void note_alloc() noexcept {
   return detail::t_alloc_count;
 }
 
-/// RAII window over the *calling thread's* allocation counter, so a
-/// per-fetch measurement stays honest while sibling fanout threads
-/// allocate concurrently. Construct and read on the same thread.
-class AllocScope {
- public:
-  AllocScope() noexcept : start_(thread_alloc_count()) {}
-  /// Allocations on this thread since construction.
-  [[nodiscard]] std::uint64_t allocs() const noexcept {
-    return thread_alloc_count() - start_;
-  }
-
- private:
-  std::uint64_t start_;
-};
-
 #else  // WAVES_OBS_ENABLED == 0
 
 inline void note_alloc() noexcept {}
 [[nodiscard]] inline std::uint64_t alloc_count() noexcept { return 0; }
 [[nodiscard]] inline std::uint64_t thread_alloc_count() noexcept { return 0; }
-
-class AllocScope {
- public:
-  [[nodiscard]] std::uint64_t allocs() const noexcept { return 0; }
-};
 
 #endif  // WAVES_OBS_ENABLED
 
