@@ -154,9 +154,7 @@ bool Socket::wait_readable(Deadline dl) {
   return poll_until(fd_, POLLIN, dl);
 }
 
-Socket tcp_connect(const std::string& host, std::uint16_t port, Deadline dl,
-                   bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
+Socket connect_nonblocking(const std::string& host, std::uint16_t port) {
   if constexpr (kFaultsEnabled) {
     if (next_connect_drop()) return Socket{};
   }
@@ -170,23 +168,31 @@ Socket tcp_connect(const std::string& host, std::uint16_t port, Deadline dl,
   if (!s.valid() || !prepare_socket(s.fd(), SocketKind::kConnection)) {
     return Socket{};
   }
-
-  const int rc =
-      ::connect(s.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0) {
-    if (errno != EINPROGRESS) return Socket{};
-    if (!poll_until(s.fd(), POLLOUT, dl)) {
-      if (timed_out != nullptr) *timed_out = true;
-      return Socket{};
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(s.fd(), SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
-        err != 0) {
-      return Socket{};
-    }
+  if (::connect(s.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0 &&
+      errno != EINPROGRESS) {
+    return Socket{};
   }
   return s;
+}
+
+bool connect_succeeded(int fd) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  return ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0 && err == 0;
+}
+
+Socket tcp_connect(const std::string& host, std::uint16_t port, Deadline dl,
+                   bool* timed_out) {
+  if (timed_out != nullptr) *timed_out = false;
+  Socket s = connect_nonblocking(host, port);
+  if (!s.valid()) return Socket{};
+  // Writable once the connect completes either way; SO_ERROR says which.
+  if (!poll_until(s.fd(), POLLOUT, dl)) {
+    if (timed_out != nullptr) *timed_out = true;
+    return Socket{};
+  }
+  return connect_succeeded(s.fd()) ? std::move(s) : Socket{};
 }
 
 bool Listener::listen_on(const std::string& host, std::uint16_t port) {
